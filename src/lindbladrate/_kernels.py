@@ -1,12 +1,18 @@
-"""Trajectory hot loops: numba-compiled kernel with a pure-numpy fallback.
+"""Trajectory kernel: one numpy block runner that advances trajectories in lockstep.
 
-The backend is picked per call: the ``LINDBLADRATE_BACKEND`` environment
-variable ("numba" or "numpy") or an explicit argument override the default,
-which is numba whenever it imports.  Both paths consume identical
-counter-based random streams and the same per-channel eigendecomposition
-data, so they agree to floating-point noise; bit-for-bit reproducibility
-across worker counts is guaranteed within a backend by accumulating
-fixed-size trajectory blocks and merging them in index order.
+The jump maps are trace preserving, so a trajectory's channel path is a
+classical jump process whose draws never depend on the conditional state.
+Every live trajectory of a block therefore advances together, one sojourn
+segment at a time: the block draws its sojourns and destinations from the
+counter-based streams of :mod:`._rng`, and each channel propagates its
+trajectories with one matrix product.
+
+Reproducibility: trajectory ``i`` consumes substream ``i`` of the master seed;
+grid samples are written to per-channel ``(B, W, d**2)`` window buffers and
+each cell ``(channel, grid point)`` sums its trajectories in index order;
+blocks of ``BLOCK_SIZE`` trajectories are merged in index order.  The output
+bits therefore do not depend on the worker count, and the window width changes
+the order of no sum (BLOCK_SIZE and WINDOW_BYTES are constants, not options).
 
 Trajectory semantics: the conditional state evolves under the channel
 self-propagator between exponentially distributed transfer events; each
@@ -20,301 +26,138 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ._rng import draw_u64, stream_key, to_unit
 
-ENV_BACKEND = "LINDBLADRATE_BACKEND"
 BLOCK_SIZE = 1024
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; without it "auto" resolves to numpy
-    numba = None
-    HAVE_NUMBA = False
+# Byte budget of one channel's sample buffer (BLOCK_SIZE, W, d**2): W = 8 grid
+# points for a qubit, so a block's working set stays within a few MB.
+WINDOW_BYTES = 1 << 19
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick "numba" or "numpy" from the argument, environment, and availability."""
-    choice = backend or os.environ.get(ENV_BACKEND, "") or "auto"
-    choice = choice.lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
+def _run_block(kit, lo: int, hi: int, master_seed: int):
+    """Sums over trajectories ``lo..hi-1``, shaped ``(K, T, d**2)`` like ``run_blocks``."""
+    grid, tcount = kit.grid, kit.grid.shape[0]
+    kchan, n2 = kit.weights_cum.shape[0], kit.rho0_vec.shape[0]
+    nb = hi - lo
+    width = max(1, WINDOW_BYTES // (16 * BLOCK_SIZE * n2))
+    diag_idx = np.arange(kit.dim) * (kit.dim + 1)
 
+    keys = stream_key(master_seed, np.arange(lo, hi, dtype=np.uint64))
+    ctr = np.zeros(nb, dtype=np.uint64)
 
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
+    def uniform(idx):
+        u = to_unit(draw_u64(keys[idx], ctr[idx]))
+        ctr[idx] += 1
+        return u
 
-if HAVE_NUMBA:
-    _U64 = numba.uint64
+    def by_channel(idx):
+        """``(c, mask)`` for each channel ``c`` that owns some of ``idx``."""
+        owners = chan[idx]
+        for c in range(kchan):
+            mask = owners == c
+            if mask.any():
+                yield c, mask
 
-    @numba.njit(numba.uint64(numba.uint64), cache=True, nogil=True)
-    def _mix64_nb(z):
-        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return z ^ (z >> _U64(31))
+    def propagate(c, idx, dts):
+        """States of trajectories ``idx`` of channel ``c``, ``dts`` after t0; one column each."""
+        w = np.outer(kit.eigvals[c], dts)
+        np.exp(w, out=w)
+        w *= z[:, idx]
+        return kit.eigvecs[c] @ w
 
-    @numba.njit(numba.float64(numba.uint64, numba.uint64), cache=True, nogil=True)
-    def _unit_nb(key, counter):
-        bits = _mix64_nb(key + _U64(0x9E3779B97F4A7C15) * counter)
-        return (np.float64(bits >> _U64(11)) + 0.5) * 2.0**-53
+    chan = np.searchsorted(kit.weights_cum, uniform(slice(None)))
+    y = np.tile(kit.rho0_vec, (nb, 1))  # state at the segment start t0
+    z = np.empty((n2, nb), complex)  # y in its channel's eigenbasis, one column each
+    t0 = np.zeros(nb)
+    t_jump = np.empty(nb)
+    g = np.zeros(nb, dtype=np.intp)  # next grid point to sample
+    g_end = np.empty(nb, dtype=np.intp)  # first grid point after the jump
 
-    @numba.njit(cache=True, nogil=True)
-    def _run_block_nb(
-        key_lo,
-        key_hi,
-        keys,
-        grid,
-        weights_cum,
-        eigvals,
-        eigvecs,
-        eiginvs,
-        jump_ops,
-        trans_cum,
-        escape,
-        rho0,
-        ch_sum,
-        ch_sq_re,
-        ch_sq_im,
-    ):
-        kchan = weights_cum.shape[0]
-        tcount = grid.shape[0]
-        n2 = rho0.shape[0]
-        d = int(round(math.sqrt(n2)))
-        y = np.empty(n2, np.complex128)
-        z = np.empty(n2, np.complex128)
-        w = np.empty(n2, np.complex128)
-        for traj in range(key_lo, key_hi):
-            key = keys[traj - key_lo]
-            ctr = _U64(0)
-            u = _unit_nb(key, ctr)
-            ctr += _U64(1)
-            chan = kchan - 1
-            for k in range(kchan):
-                if u <= weights_cum[k]:
-                    chan = k
-                    break
-            for i in range(n2):
-                y[i] = rho0[i]
-            t0 = 0.0
-            g = 0
-            while g < tcount:
-                gam = escape[chan]
-                if gam > 0.0:
-                    u = _unit_nb(key, ctr)
-                    ctr += _U64(1)
-                    t_jump = t0 - math.log(u) / gam
-                else:
-                    t_jump = math.inf
-                for i in range(n2):
-                    acc = 0.0 + 0.0j
-                    for k2 in range(n2):
-                        acc += eiginvs[chan, i, k2] * y[k2]
-                    z[i] = acc
-                while g < tcount and grid[g] <= t_jump:
-                    dt = grid[g] - t0
-                    if dt == 0.0:
-                        for i in range(n2):
-                            val = y[i]
-                            ch_sum[chan, g, i] += val
-                            ch_sq_re[chan, g, i] += val.real * val.real
-                            ch_sq_im[chan, g, i] += val.imag * val.imag
-                    else:
-                        for i in range(n2):
-                            w[i] = z[i] * np.exp(eigvals[chan, i] * dt)
-                        for i in range(n2):
-                            acc = 0.0 + 0.0j
-                            for k2 in range(n2):
-                                acc += eigvecs[chan, i, k2] * w[k2]
-                            ch_sum[chan, g, i] += acc
-                            ch_sq_re[chan, g, i] += acc.real * acc.real
-                            ch_sq_im[chan, g, i] += acc.imag * acc.imag
-                    g += 1
-                if g >= tcount:
-                    break
-                dtj = t_jump - t0
-                for i in range(n2):
-                    w[i] = z[i] * np.exp(eigvals[chan, i] * dtj)
-                for i in range(n2):
-                    acc = 0.0 + 0.0j
-                    for k2 in range(n2):
-                        acc += eigvecs[chan, i, k2] * w[k2]
-                    y[i] = acc
-                for i in range(n2):
-                    acc = 0.0 + 0.0j
-                    for k2 in range(n2):
-                        acc += jump_ops[chan, i, k2] * y[k2]
-                    w[i] = acc
-                tr = 0.0 + 0.0j
-                for i in range(d):
-                    tr += w[i * d + i]
-                if abs(tr - 1.0) > 1e-10 or not math.isfinite(tr.real):
-                    return traj
-                for i in range(n2):
-                    y[i] = w[i] / tr
-                u = _unit_nb(key, ctr)
-                ctr += _U64(1)
-                nxt = -1
-                for k in range(kchan):
-                    if k == chan:
-                        continue
-                    if u <= trans_cum[chan, k]:
-                        nxt = k
-                        break
-                if nxt < 0:
-                    for k in range(kchan - 1, -1, -1):
-                        if k != chan and trans_cum[chan, k] > 0.0:
-                            nxt = k
-                            break
-                chan = nxt
-                t0 = t_jump
-        return -1
+    def begin_segment(idx):
+        gam = kit.escape[chan[idx]]
+        hops = gam > 0.0
+        # math.log, not np.log: numpy's SIMD log differs in the last bit for
+        # a few inputs in a thousand, and the sojourn times keep their bits.
+        logs = np.fromiter(map(math.log, uniform(idx[hops]).tolist()), float, np.count_nonzero(hops))
+        t_jump[idx] = np.inf
+        t_jump[idx[hops]] = t0[idx[hops]] - logs / gam[hops]
+        g_end[idx] = np.searchsorted(grid, t_jump[idx], side="right")
+        for c, m in by_channel(idx):
+            z[:, idx[m]] = kit.eiginvs[c] @ y[idx[m]].T
 
+    def jump(idx):
+        for c, m in by_channel(idx):
+            sel = idx[m]
+            y[sel] = (kit.jump_ops[c] @ propagate(c, sel, t_jump[sel] - t0[sel])).T
+        tr = y[idx][:, diag_idx].sum(axis=1)
+        bad = (np.abs(tr - 1.0) > 1e-10) | ~np.isfinite(tr)
+        if bad.any():
+            raise FloatingPointError(
+                f"trajectory {lo + idx[bad][0]}: non-finite state or trace drift beyond 1e-10"
+            )
+        y[idx] = y[idx] / tr[:, None]
+        # The first column with u <= cum is never the source itself: its
+        # entry repeats the previous column's (or is 0, and u > 0).
+        u = uniform(idx)
+        chan[idx] = (u[:, None] <= kit.trans_cum[chan[idx]]).argmax(axis=1)
+        t0[idx] = t_jump[idx]
+        begin_segment(idx)
 
-# ---------------------------------------------------------------------------
-# numpy path
-# ---------------------------------------------------------------------------
-
-
-def _run_block_np(
-    key_lo,
-    key_hi,
-    keys,
-    grid,
-    weights_cum,
-    eigvals,
-    eigvecs,
-    eiginvs,
-    jump_ops,
-    trans_cum,
-    escape,
-    rho0,
-    ch_sum,
-    ch_sq_re,
-    ch_sq_im,
-):
-    """Vectorized-per-segment fallback; identical draw sequence to the kernel."""
-    kchan = weights_cum.shape[0]
-    tcount = grid.shape[0]
-    d = int(round(math.sqrt(rho0.shape[0])))
-    diag_idx = np.arange(d) * d + np.arange(d)
-    for traj in range(key_lo, key_hi):
-        key = int(keys[traj - key_lo])
-        ctr = 0
-        u = to_unit(draw_u64(key, ctr))
-        ctr += 1
-        chan = int(np.searchsorted(weights_cum, u, side="left"))
-        chan = min(chan, kchan - 1)
-        y = rho0.copy()
-        t0 = 0.0
-        g = 0
-        while g < tcount:
-            gam = escape[chan]
-            if gam > 0.0:
-                u = to_unit(draw_u64(key, ctr))
-                ctr += 1
-                t_jump = t0 - math.log(u) / gam
-            else:
-                t_jump = math.inf
-            z = eiginvs[chan] @ y
-            g1 = int(np.searchsorted(grid, t_jump, side="right"))
-            if g1 > g:
-                dts = grid[g:g1] - t0
-                states = eigvecs[chan] @ (np.exp(np.outer(eigvals[chan], dts)) * z[:, None])
-                if dts[0] == 0.0:
-                    states[:, 0] = y
-                ch_sum[chan, g:g1] += states.T
-                ch_sq_re[chan, g:g1] += states.real.T ** 2
-                ch_sq_im[chan, g:g1] += states.imag.T ** 2
-                g = g1
-            if g >= tcount:
+    begin_segment(np.arange(nb))
+    shape = (kchan, tcount, n2)
+    ch_sum, sq_re, sq_im = np.zeros(shape, complex), np.zeros(shape), np.zeros(shape)
+    # Per channel, the window's samples; zero where a trajectory is elsewhere.
+    samples = np.zeros((kchan, nb, width, n2), complex)
+    for w0 in range(0, tcount, width):
+        w1 = min(w0 + width, tcount)
+        # Advance every trajectory to the window's end, writing its samples.
+        while True:
+            act = np.flatnonzero(g < w1)
+            if act.size == 0:
                 break
-            y = eigvecs[chan] @ (np.exp(eigvals[chan] * (t_jump - t0)) * z)
-            y = jump_ops[chan] @ y
-            tr = y[diag_idx].sum()
-            if abs(tr - 1.0) > 1e-10 or not np.isfinite(tr):
-                return traj
-            y = y / tr
-            u = to_unit(draw_u64(key, ctr))
-            ctr += 1
-            nxt = -1
-            for k in range(kchan):
-                if k == chan:
-                    continue
-                if u <= trans_cum[chan, k]:
-                    nxt = k
-                    break
-            if nxt < 0:
-                for k in range(kchan - 1, -1, -1):
-                    if k != chan and trans_cum[chan, k] > 0.0:
-                        nxt = k
-                        break
-            chan = nxt
-            t0 = t_jump
-    return -1
+            stop = np.minimum(g_end[act], w1)
+            count = stop - g[act]
+            rows = np.repeat(act, count)
+            cols = np.arange(rows.size) + np.repeat(g[act] - (np.cumsum(count) - count), count)
+            dts = grid[cols] - t0[rows]
+            cols -= w0
+            for c, m in by_channel(rows):
+                samples[c, rows[m], cols[m]] = propagate(c, rows[m], dts[m]).T
+            at_start = np.flatnonzero(dts == 0.0)
+            samples[chan[rows[at_start]], rows[at_start], cols[at_start]] = y[rows[at_start]]
+            g[act] = stop
+            hop = act[(stop == g_end[act]) & (stop < tcount)]
+            if hop.size:
+                jump(hop)
+        # Every trajectory has passed the window: its cells are final.
+        for c in range(kchan):
+            buf = samples[c, :, : w1 - w0]
+            ch_sum[c, w0:w1] = buf.sum(axis=0)
+            sq = np.square(buf.view(float)).sum(axis=0)
+            sq_re[c, w0:w1], sq_im[c, w0:w1] = sq[:, 0::2], sq[:, 1::2]
+            buf.fill(0.0)
+    return ch_sum, sq_re, sq_im
 
 
-def run_blocks(kit, n: int, master_seed: int, backend: str, workers: int = 1):
+def run_blocks(kit, n: int, master_seed: int, workers: int = 1):
     """Run ``n`` trajectories in fixed blocks and merge partials in order.
 
     Returns ``(ch_sum, ch_sq_re, ch_sq_im)`` shaped ``(K, T, d**2)``.
     """
-    runner = _run_block_nb if backend == "numba" else _run_block_np
-    kchan = kit.weights_cum.shape[0]
-    tcount = kit.grid.shape[0]
-    n2 = kit.rho0_vec.shape[0]
-    shape = (kchan, tcount, n2)
-    total_sum = np.zeros(shape, dtype=complex)
-    total_sq_re = np.zeros(shape, dtype=float)
-    total_sq_im = np.zeros(shape, dtype=float)
-
     bounds = [(lo, min(lo + BLOCK_SIZE, n)) for lo in range(0, n, BLOCK_SIZE)]
-
-    def one_block(lo, hi):
-        keys = np.array([stream_key(master_seed, i) for i in range(lo, hi)], dtype=np.uint64)
-        ch_sum = np.zeros(shape, dtype=complex)
-        sq_re = np.zeros(shape, dtype=float)
-        sq_im = np.zeros(shape, dtype=float)
-        bad = runner(
-            lo,
-            hi,
-            keys,
-            kit.grid,
-            kit.weights_cum,
-            kit.eigvals,
-            kit.eigvecs,
-            kit.eiginvs,
-            kit.jump_ops,
-            kit.trans_cum,
-            kit.escape,
-            kit.rho0_vec,
-            ch_sum,
-            sq_re,
-            sq_im,
-        )
-        if bad >= 0:
-            raise FloatingPointError(f"trajectory {bad}: non-finite state or trace drift beyond 1e-10")
-        return ch_sum, sq_re, sq_im
-
-    if workers > 1 and len(bounds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
+    workers = min(workers, os.cpu_count() or 1, len(bounds))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: one_block(*b), bounds))
+            partials = list(pool.map(lambda b: _run_block(kit, *b, master_seed), bounds))
     else:
-        partials = [one_block(lo, hi) for lo, hi in bounds]
+        partials = [_run_block(kit, lo, hi, master_seed) for lo, hi in bounds]
 
-    for ch_sum, sq_re, sq_im in partials:
-        total_sum += ch_sum
-        total_sq_re += sq_re
-        total_sq_im += sq_im
-    return total_sum, total_sq_re, total_sq_im
+    totals = [np.zeros_like(a) for a in partials[0]]
+    for partial in partials:
+        for total, part in zip(totals, partial):
+            total += part
+    return tuple(totals)

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from ._rng import check_seed
 from .config import (
     ConfigError,
     ModelSource,
@@ -66,6 +67,11 @@ def _emit(table: OutputTable, path: str | None) -> None:
 
 
 def _load(args) -> RunConfig | None:
+    if args.seed is not None:
+        try:
+            check_seed(args.seed)
+        except ValueError as exc:
+            raise ConfigError("--seed", str(exc)) from exc
     if args.config:
         return load_config(args.config)
     preset = getattr(args, "preset_name", None) or args.preset

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rng import check_seed
 from .model import LindbladRateModel, OperatorBasis, build_from_correlations, reduce_from_tripartite
 from .qubit import PRESETS, dephasing_model
 from .stochastic import StochasticModel, convert_walk_to_rate_model
@@ -228,10 +229,20 @@ def parse_config(text: str) -> RunConfig:
     trajectories = raw.get("trajectories")
     seed = raw.get("seed")
     if engine in ("stochastic", "both"):
-        if trajectories is None or not isinstance(trajectories, int) or trajectories < 1:
+        if trajectories is None:
             raise ConfigError("$.trajectories", "stochastic runs need an integer trajectory count >= 1")
-        if seed is None or not isinstance(seed, int):
+        if seed is None:
             raise ConfigError("$.seed", "stochastic runs need an integer master seed")
+    # ``traj`` and ``example`` read these whatever the engine, so check them whenever present.
+    if trajectories is not None and (
+        isinstance(trajectories, bool) or not isinstance(trajectories, int) or trajectories < 1
+    ):
+        raise ConfigError("$.trajectories", f"must be an integer >= 1, got {trajectories!r}")
+    if seed is not None:
+        try:
+            check_seed(seed)
+        except ValueError as exc:
+            raise ConfigError("$.seed", str(exc)) from exc
 
     tols = raw.get("tolerances", {})
     rtol = float(tols.get("rtol", 1e-9))

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from ._rng import CounterStream
+from ._rng import CounterStream, check_seed
 from .linalg import hamiltonian_superop, hermiticity_residual, kraus_superop, trace_vector, vectorize
 from .model import LindbladRateModel, OperatorBasis, _check_density, dissipator_superop
 
@@ -167,7 +167,7 @@ def select_next_channel(channel: int, rates: np.ndarray, rng: CounterStream) -> 
 
 @dataclass
 class _TrajectoryKit:
-    """Precomputed propagation data shared by all backends."""
+    """Precomputed propagation data read by the trajectory kernel."""
 
     grid: np.ndarray
     weights_cum: np.ndarray
@@ -325,24 +325,23 @@ def run_ensemble(
     n: int,
     master_seed: int,
     workers: int = 1,
-    backend: str | None = None,
 ) -> EnsembleAccumulator:
     """Average ``n`` independent trajectories over a time grid.
 
     Results are a pure function of ``(model, rho0, grid, n, master_seed)``:
     trajectory ``i`` consumes substream ``i`` of the master seed and partial
-    sums are merged in fixed block order, so the worker count and backend
-    scheduling cannot change the output bits.
+    sums are merged in fixed block order, so the worker count cannot change
+    the output bits.  ``master_seed`` must be an integer in ``[0, 2**64)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    master_seed = check_seed(master_seed)
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times[0] != 0.0 or (times.shape[0] > 1 and np.any(np.diff(times) <= 0)):
         raise ValueError("grid must be strictly increasing and start at 0")
     rho0 = _check_density(np.asarray(rho0, dtype=complex), model.dim, 1e-8)
     kit = _build_kit(model, rho0, times)
-    chosen = _kernels.resolve_backend(backend)
-    sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed, chosen, workers)
+    sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed, workers)
     return EnsembleAccumulator(times, sums, sq_re, sq_im, n, model.dim)
 
 

@@ -54,6 +54,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\$\.trajectories"):
             parse_config(json.dumps(payload))
 
+    @pytest.mark.parametrize("field, value", [("trajectories", "abc"), ("trajectories", 0), ("seed", "x")])
+    def test_stochastic_fields_checked_without_engine(self, field, value):
+        payload = dict(BASE_CONFIG, **{field: value})
+        with pytest.raises(ConfigError, match=rf"\$\.{field}"):
+            parse_config(json.dumps(payload))
+
+    @pytest.mark.parametrize("seed", [-3, 2**64, 2**64 + 5, True, 1.5])
+    def test_seed_outside_stream_range_rejected(self, seed):
+        payload = dict(BASE_CONFIG, engine="stochastic", trajectories=10, seed=seed)
+        with pytest.raises(ConfigError, match=r"\$\.seed"):
+            parse_config(json.dumps(payload))
+
+    def test_seed_range_edges_accepted(self):
+        for seed in (0, 2**64 - 1):
+            payload = dict(BASE_CONFIG, engine="stochastic", trajectories=10, seed=seed)
+            assert parse_config(json.dumps(payload)).seed == seed
+
     def test_syntax_error_carries_location(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("{not json")
@@ -197,6 +214,26 @@ class TestCliCommands:
         assert main(["traj", "--config", single, "--out", str(out1)]) == 0
         assert main(["traj", "--config", multi, "--out", str(out4)]) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+    def test_traj_bad_trajectories_without_engine_exit_1(self, tmp_path, capsys):
+        # the field used to pass unchecked and escape from run_ensemble as a TypeError
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, trajectories="abc", seed=1))
+        assert main(["traj", "--config", cfg]) == 1
+        assert "$.trajectories" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2**64 + 5, True])
+    def test_traj_config_seed_outside_range_exit_1(self, tmp_path, capsys, seed):
+        # 5 + 2**64 used to alias seed 5 and give the same CSV
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, trajectories=10, seed=seed))
+        assert main(["traj", "--config", cfg]) == 1
+        assert "$.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64 + 5)])
+    def test_seed_flag_outside_range_exit_1(self, tmp_path, capsys, seed):
+        out = tmp_path / "t.csv"
+        assert main(["traj", "--preset", "fig2", "--n", "10", "--seed", seed, "--out", str(out)]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kernel_table(self, tmp_path):
         out = tmp_path / "kernel.csv"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from lindbladrate import _kernels
@@ -18,6 +19,7 @@ from lindbladrate.solver import evolve
 from lindbladrate.stochastic import (
     StochasticModel,
     TrajectoryState,
+    _build_kit,
     channel_occupation,
     convert_walk_to_rate_model,
     init_channel,
@@ -46,17 +48,19 @@ def direct_walk_generator(walk: StochasticModel) -> np.ndarray:
 
 
 class TestRngStreams:
-    def test_python_and_numba_mix_agree(self, rng):
-        numba = pytest.importorskip("numba")
-        from lindbladrate._kernels import _mix64_nb, _unit_nb
-
-        for _ in range(200):
-            x = int(rng.integers(0, 2**64, dtype=np.uint64))
-            assert mix64(x) == int(_mix64_nb(np.uint64(x)))
-        for _ in range(50):
-            key = int(rng.integers(0, 2**64, dtype=np.uint64))
-            ctr = int(rng.integers(0, 2**20))
-            assert to_unit(draw_u64(key, ctr)) == float(_unit_nb(np.uint64(key), np.uint64(ctr)))
+    def test_array_streams_match_scalar_streams(self, rng):
+        # the kernel draws for a whole block through uint64 arrays; each
+        # element must equal the Python-int reference bit for bit
+        xs = rng.integers(0, 2**64, size=200, dtype=np.uint64)
+        assert mix64(xs).tolist() == [mix64(int(x)) for x in xs]
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        idx = np.concatenate([np.arange(50), rng.integers(0, 2**64, size=50, dtype=np.uint64)]).astype(np.uint64)
+        keys = stream_key(seed, idx)
+        assert keys.tolist() == [stream_key(seed, int(i)) for i in idx]
+        ctrs = rng.integers(0, 2**20, size=idx.size).astype(np.uint64)
+        units = to_unit(draw_u64(keys, ctrs))
+        assert units.dtype == np.float64
+        assert units.tolist() == [to_unit(draw_u64(int(k), int(c))) for k, c in zip(keys, ctrs)]
 
     def test_streams_are_open_unit_interval(self):
         stream = CounterStream(123, 5)
@@ -235,76 +239,139 @@ class TestStepTrajectory:
             assert p_value > 0.01, f"channel {channel} sojourn KS p={p_value}"
 
 
+def replay_trajectory(walk, rho0, grid, master_seed, index):
+    """Trajectory ``index`` at each grid time, from ``step_trajectory`` and its own stream.
+
+    Returns the per-time channels and conditional states (d, d).
+    """
+    stream = CounterStream(master_seed, index)
+    state = TrajectoryState(init_channel(walk.weights, stream), rho0.copy(), 0.0)
+    states, channels = [], []
+    d = walk.dim
+    for t in grid:
+        while True:
+            probe = CounterStream(0, 0)
+            probe.key, probe.counter = stream.key, stream.counter
+            nxt, events = step_trajectory(state, walk, probe, horizon=1e18)
+            if events[0].kind == "jump" and nxt.time <= t:
+                stream.key, stream.counter = probe.key, probe.counter
+                state = nxt
+                continue
+            break
+        prop = scipy.linalg.expm((t - state.time) * walk.self_generator(state.channel))
+        states.append((prop @ vectorize(state.matrix)).reshape(d, d, order="F"))
+        channels.append(state.channel)
+    return channels, states
+
+
+def assert_same_sums(acc, other):
+    assert np.array_equal(acc.channel_sums, other.channel_sums)
+    assert np.array_equal(acc.channel_sq_re, other.channel_sq_re)
+    assert np.array_equal(acc.channel_sq_im, other.channel_sq_im)
+
+
+WALK_CASES = {
+    "fig2": (dephasing_model(preset_params("fig2"))[1], RHO_PLUS_X),
+    "depolarizing": (
+        depolarizing_model(DepolarizingParams(1.0, 0.5, 0.3, 0.7))[1],
+        np.diag([0.8, 0.2]).astype(complex),
+    ),
+}
+WALKS = pytest.mark.parametrize("walk, rho0", list(WALK_CASES.values()), ids=list(WALK_CASES))
+
+
 class TestRunEnsemble:
     def test_kernel_matches_step_trajectory_single_run(self):
-        _, walk = dephasing_model(preset_params("fig2"))
+        # n trajectories of one block: subtracting the sums of the first i
+        # trajectories from those of the first i + 1 isolates trajectory i
         grid = np.linspace(0.0, 12.0, 25)
-        acc = run_ensemble(walk, RHO_PLUS_X, grid, n=1, master_seed=77, backend="numpy")
-        # replay trajectory 0 with the event-level machinery and the same stream
-        import scipy.linalg
-
-        stream = CounterStream(77, 0)
-        state = TrajectoryState(init_channel(walk.weights, stream), RHO_PLUS_X.copy(), 0.0)
-        states, channels = [], []
-        for t in grid:
-            while True:
-                probe = CounterStream(0, 0)
-                probe.key, probe.counter = stream.key, stream.counter
-                nxt, events = step_trajectory(state, walk, probe, horizon=1e18)
-                if events[0].kind == "jump" and nxt.time <= t:
-                    stream.key, stream.counter = probe.key, probe.counter
-                    state = nxt
-                    continue
-                break
-            prop = scipy.linalg.expm((t - state.time) * walk.self_generator(state.channel))
-            states.append((prop @ vectorize(state.matrix)).reshape(2, 2, order="F"))
-            channels.append(state.channel)
-        estimates = acc.channel_estimates()
-        for idx, t in enumerate(grid):
-            got = estimates[channels[idx], idx]
-            np.testing.assert_allclose(got, states[idx], atol=1e-10)
-            other = estimates[1 - channels[idx], idx]
-            assert np.abs(other).max() < 1e-12
-
-    def test_backends_agree_and_workers_bit_identical(self):
-        pytest.importorskip("numba")
-        _, walk = dephasing_model(preset_params("fig2"))
-        grid = np.linspace(0.0, 10.0, 21)
-        acc_np = run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, backend="numpy")
-        acc_nb = run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, backend="numba")
-        assert np.abs(acc_np.channel_sums - acc_nb.channel_sums).max() < 1e-10
-        for workers in (2, 5):
-            again = run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, backend="numba", workers=workers)
-            assert np.array_equal(again.channel_sums, acc_nb.channel_sums)
-            assert np.array_equal(again.channel_sq_re, acc_nb.channel_sq_re)
-            assert np.array_equal(again.channel_sq_im, acc_nb.channel_sq_im)
+        n = 6
+        for walk, rho0 in WALK_CASES.values():
+            sums = [np.zeros_like(run_ensemble(walk, rho0, grid, 1, 77).channel_sums)]
+            sums += [run_ensemble(walk, rho0, grid, i, 77).channel_sums for i in range(1, n + 1)]
+            k, d = walk.num_channels, walk.dim
+            for index in range(n):
+                channels, states = replay_trajectory(walk, rho0, grid, 77, index)
+                own = (sums[index + 1] - sums[index]).reshape(k, grid.size, d, d).transpose(0, 1, 3, 2)
+                for g in range(grid.size):
+                    np.testing.assert_allclose(own[channels[g], g], states[g], atol=1e-10)
+                    others = np.delete(own[:, g], channels[g], axis=0)
+                    assert np.abs(others).max(initial=0.0) < 1e-12
 
     def test_numpy_workers_bit_identical(self):
         _, walk = dephasing_model(preset_params("fig2"))
         grid = np.linspace(0.0, 10.0, 21)
-        acc = run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, backend="numpy", workers=1)
+        acc = run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, workers=1)
         for workers in (2, 5):
-            again = run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, backend="numpy", workers=workers)
-            assert np.array_equal(again.channel_sums, acc.channel_sums)
-            assert np.array_equal(again.channel_sq_re, acc.channel_sq_re)
-            assert np.array_equal(again.channel_sq_im, acc.channel_sq_im)
+            assert_same_sums(acc, run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, workers=workers))
 
-    def test_env_flag_selects_numpy_backend(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_BACKEND, "numpy")
-        assert _kernels.resolve_backend(None) == "numpy"
-        monkeypatch.delenv(_kernels.ENV_BACKEND)
-        assert _kernels.resolve_backend("numpy") == "numpy"
+    @WALKS
+    def test_window_size_does_not_change_bits(self, monkeypatch, walk, rho0):
+        # every cell sums its trajectories in index order whatever the window
+        grid = np.linspace(0.0, 10.0, 41)
+        acc = run_ensemble(walk, rho0, grid, 1500, 5)
+        point_bytes = 16 * _kernels.BLOCK_SIZE * walk.dim**2
+        for points in (1, 7):
+            monkeypatch.setattr(_kernels, "WINDOW_BYTES", points * point_bytes)
+            assert_same_sums(acc, run_ensemble(walk, rho0, grid, 1500, 5))
 
-    def test_env_flag_selects_numba_backend(self, monkeypatch):
-        pytest.importorskip("numba")
-        monkeypatch.setenv(_kernels.ENV_BACKEND, "numba")
-        assert _kernels.resolve_backend(None) == "numba"
+    @WALKS
+    def test_cells_sum_trajectories_in_index_order(self, walk, rho0):
+        # each trajectory run alone gives its own samples exactly (0 + x = x);
+        # a block must add them cell by cell in index order
+        kit = _build_kit(walk, rho0, np.linspace(0.0, 10.0, 21))
+        n = 40
+        expected = [np.zeros_like(a) for a in _kernels._run_block(kit, 0, 1, 9)]
+        for i in range(n):
+            for total, part in zip(expected, _kernels._run_block(kit, i, i + 1, 9)):
+                total += part
+        for got, want in zip(_kernels.run_blocks(kit, n, 9), expected):
+            assert np.array_equal(got, want)
 
-    @pytest.mark.skipif(_kernels.HAVE_NUMBA, reason="numba imports, so the numba backend is available")
-    def test_env_flag_numba_refused_without_numba(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_BACKEND, "numba")
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            _kernels.resolve_backend(None)
+    def test_trace_drift_raises_naming_trajectory(self):
+        _, walk = dephasing_model(preset_params("fig2"))
+        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 10.0, 21))
+        kit.jump_ops = 2.0 * kit.jump_ops
+        with pytest.raises(FloatingPointError, match=r"trajectory \d+: .*trace drift"):
+            _kernels.run_blocks(kit, 50, 3)
+
+    def test_thread_pool_bounded(self, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 3)
+        _, walk = dephasing_model(preset_params("fig2"))
+        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 1.0, 3))
+        n = 5 * _kernels.BLOCK_SIZE
+        _kernels.run_blocks(kit, n, 1, workers=64)  # capped by the CPU count
+        _kernels.run_blocks(kit, 2 * _kernels.BLOCK_SIZE, 1, workers=64)  # by the block count
+        _kernels.run_blocks(kit, n, 1, workers=2)
+        _kernels.run_blocks(kit, _kernels.BLOCK_SIZE, 1, workers=64)  # one block: no pool
+        assert seen == [3, 2, 2]
+
+    @pytest.mark.parametrize("seed", [-3, 2**64, 2**64 + 5, True, 1.5, "7"])
+    def test_seed_outside_range_rejected(self, seed):
+        _, walk = dephasing_model(preset_params("fig2"))
+        with pytest.raises(ValueError, match="master seed"):
+            run_ensemble(walk, RHO_PLUS_X, np.linspace(0.0, 1.0, 3), 10, seed)
+
+    def test_seed_edges_accepted(self):
+        _, walk = dephasing_model(preset_params("fig2"))
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert run_ensemble(walk, RHO_PLUS_X, np.linspace(0.0, 1.0, 3), 10, seed).count == 10
 
     def test_unit_trace_estimator(self):
         _, walk = dephasing_model(preset_params("fig2"))
@@ -335,8 +402,6 @@ class TestRunEnsemble:
         # conditional states are deterministic per channel; only the channel
         # assignment is random (multinomial)
         counts = acc.channel_occupation()[0] * n
-        import scipy.linalg
-
         for idx, t in enumerate(grid):
             expected = sum(
                 counts[r]
