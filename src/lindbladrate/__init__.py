@@ -14,9 +14,7 @@ from .linalg import (
     choi_matrix,
     devectorize,
     hamiltonian_superop,
-    hermitian_eigs,
     kraus_superop,
-    matrix_exp,
     psd_check,
     sandwich_superop,
     vectorize,
@@ -26,7 +24,6 @@ from .model import (
     MarkovDecayError,
     ModelStructureError,
     OperatorBasis,
-    RateBlock,
     StackedGenerator,
     StackedState,
     ValidationReport,
@@ -72,7 +69,6 @@ from .stochastic import (
     EnsembleAccumulator,
     StochasticModel,
     TrajectoryState,
-    channel_occupation,
     convert_walk_to_rate_model,
     init_channel,
     run_ensemble,

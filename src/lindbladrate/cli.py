@@ -15,6 +15,7 @@ import numpy as np
 
 from ._rng import check_seed
 from .config import (
+    _DEFAULT_STATE,
     ConfigError,
     ModelSource,
     OutputTable,
@@ -30,7 +31,6 @@ from .solver import evolve, homogeneity_check, memory_kernel_at, stationary_stat
 from .stochastic import run_ensemble
 
 _DEFAULT_GRID = np.linspace(0.0, 20.0, 201)
-_DEFAULT_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 _DEFAULT_KERNEL_POINTS = [0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 4.0 + 0.0j]
 
 
@@ -57,13 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(table: OutputTable, path: str | None) -> None:
-    if path:
-        emit_csv(table, path)
-        return
-    sys.stdout.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        sys.stdout.write(",".join(f"{x:.17g}" for x in row) + "\n")
+def _laplace_points(text: str) -> list[complex]:
+    """Parse ``--u``: comma-separated finite real Laplace points."""
+    try:
+        points = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError("--u", f"expected comma-separated numbers, got {text!r}") from exc
+    if not all(np.isfinite(points)):
+        raise ConfigError("--u", f"Laplace points must be finite, got {text!r}")
+    return [complex(u, 0.0) for u in points]
 
 
 def _load(args) -> RunConfig | None:
@@ -72,19 +74,24 @@ def _load(args) -> RunConfig | None:
             check_seed(args.seed)
         except ValueError as exc:
             raise ConfigError("--seed", str(exc)) from exc
+    if args.n is not None and args.n < 1:
+        raise ConfigError("--n", f"trajectory count must be >= 1, got {args.n}")
     if args.config:
-        return load_config(args.config)
-    preset = getattr(args, "preset_name", None) or args.preset
-    if preset:
-        return RunConfig(
+        config = load_config(args.config)
+    else:
+        preset = getattr(args, "preset_name", None) or args.preset
+        if not preset:
+            return None
+        config = RunConfig(
             model=ModelSource("preset", {"name": preset}),
             initial_state=_DEFAULT_STATE.copy(),
             grid=_DEFAULT_GRID.copy(),
-            engine="deterministic",
             trajectories=args.n,
             seed=args.seed,
         )
-    return None
+    if args.u:
+        config.kernel_points = _laplace_points(args.u)
+    return config
 
 
 def _cmd_validate(config: RunConfig, args) -> int:
@@ -104,7 +111,7 @@ def _cmd_validate(config: RunConfig, args) -> int:
 def _cmd_evolve(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
     result = evolve(rate_model, config.initial_state, config.grid, rtol=config.rtol, psd_tol=config.psd_tol)
-    _emit(deterministic_table(result), args.out or config.output)
+    emit_csv(deterministic_table(result), args.out or config.output)
     return 0
 
 
@@ -119,15 +126,13 @@ def _cmd_traj(config: RunConfig, args) -> int:
         print("traj requires --n and --seed (or config fields)", file=sys.stderr)
         return 1
     acc = run_ensemble(walk, config.initial_state, config.grid, n, seed, workers=config.workers)
-    _emit(stochastic_table(acc), args.out or config.output)
+    emit_csv(stochastic_table(acc), args.out or config.output)
     return 0
 
 
 def _cmd_kernel(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
     points = config.kernel_points or _DEFAULT_KERNEL_POINTS
-    if args.u:
-        points = [complex(float(x), 0.0) for x in args.u.split(",")]
     d2 = rate_model.dim ** 2
     columns = ["u_re", "u_im", "shifted", "condition"]
     columns += [f"K_{i}{j}_{part}" for i in range(d2) for j in range(d2) for part in ("re", "im")]
@@ -139,7 +144,7 @@ def _cmd_kernel(config: RunConfig, args) -> int:
             for j in range(d2):
                 row += [sample.kernel[i, j].real, sample.kernel[i, j].imag]
         rows.append(row)
-    _emit(OutputTable(columns, np.array(rows)), args.out or config.output)
+    emit_csv(OutputTable(columns, np.array(rows)), args.out or config.output)
     return 0
 
 
@@ -159,7 +164,7 @@ def _cmd_stationary(config: RunConfig, args) -> int:
         for i in range(d):
             for j in range(d):
                 row += [rho_inf[i, j].real, rho_inf[i, j].imag]
-        _emit(OutputTable(columns, np.array([row])), args.out or config.output)
+        emit_csv(OutputTable(columns, np.array([row])), args.out or config.output)
     return 0
 
 
@@ -187,7 +192,7 @@ def _cmd_example(config: RunConfig, args) -> int:
         se_re, _ = acc.system_standard_error()
         columns += ["h_mc", "se_mc", "abs_mc_residual"]
         data += [mc_h, se_re[:, 0, 1] / abs(phi0), np.abs(mc_h - closed)]
-    _emit(OutputTable(columns, np.stack(data, axis=1)), args.out or config.output)
+    emit_csv(OutputTable(columns, np.stack(data, axis=1)), args.out or config.output)
     return 0
 
 

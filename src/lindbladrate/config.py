@@ -8,13 +8,15 @@ bit-exactly through text.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import check_seed
-from .model import LindbladRateModel, OperatorBasis, build_from_correlations, reduce_from_tripartite
+from .model import LindbladRateModel, OperatorBasis, _check_density, build_from_correlations, reduce_from_tripartite
 from .qubit import PRESETS, dephasing_model
 from .stochastic import StochasticModel, convert_walk_to_rate_model
 
@@ -89,7 +91,6 @@ class RunConfig:
     model: ModelSource
     initial_state: np.ndarray
     grid: np.ndarray
-    engine: str = "deterministic"
     trajectories: int | None = None
     seed: int | None = None
     output: str | None = None
@@ -223,6 +224,7 @@ def parse_config(text: str) -> RunConfig:
     grid = _parse_grid(_require(raw, "grid", "$"), "$.grid")
     state = _matrix(raw["initial_state"], "$.initial_state") if "initial_state" in raw else _DEFAULT_STATE.copy()
 
+    # ``engine`` only decides whether ``trajectories`` and ``seed`` are required.
     engine = raw.get("engine", "deterministic")
     if engine not in ("deterministic", "stochastic", "both"):
         raise ConfigError("$.engine", f"must be deterministic|stochastic|both, got {engine!r}")
@@ -253,15 +255,15 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("$.workers", "must be an integer >= 1")
 
-    tr = np.trace(state)
-    if abs(tr - 1.0) > 1e-10:
-        raise ConfigError("$.initial_state", f"trace {tr} must be 1")
+    try:
+        _check_density(state, state.shape[0], psd_tol)
+    except ValueError as exc:
+        raise ConfigError("$.initial_state", str(exc)) from exc
 
     return RunConfig(
         model=model,
         initial_state=state,
         grid=grid,
-        engine=engine,
         trajectories=trajectories,
         seed=seed,
         output=raw.get("output"),
@@ -292,9 +294,11 @@ class OutputTable:
             raise ValueError("table contains non-finite values")
 
 
-def emit_csv(table: OutputTable, path: str) -> None:
-    """Write a table as CSV with 17-significant-digit decimal text."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def emit_csv(table: OutputTable, path: str | None) -> None:
+    """Write a table as CSV with 17-significant-digit decimal text to
+    ``path``, or to stdout when no path is given."""
+    out = open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
         fh.write(",".join(table.columns) + "\n")
         for row in table.rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -10,19 +10,17 @@ are ``d**2 x d**2`` complex matrices acting on vectorized densities
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "vectorize",
     "devectorize",
     "trace_vector",
     "sandwich_superop",
+    "coefficient_superop",
     "kraus_superop",
     "hamiltonian_superop",
     "anticommutator_superop",
-    "hermitian_eigs",
     "hermiticity_residual",
-    "matrix_exp",
     "psd_check",
     "choi_matrix",
 ]
@@ -68,12 +66,25 @@ def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(b.T, a)
 
 
+def coefficient_superop(ops, coeffs) -> np.ndarray:
+    """Superoperator of ``X -> sum a[alpha, gamma] V_alpha X V_gamma^dag``.
+
+    Built from its Choi matrix ``W A W^dag``, where ``W`` holds the
+    ``vec(V_alpha)`` as columns; the map is CP exactly when ``A`` is PSD.
+    ``ops`` is ``(m, d, d)`` and ``coeffs`` is ``(..., m, m)``; leading axes
+    of ``coeffs`` give a stack of superoperators.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    w = ops.transpose(0, 2, 1).reshape(ops.shape[0], -1).T
+    return choi_matrix(w @ np.asarray(coeffs, dtype=complex) @ w.conj().T)
+
+
 def kraus_superop(kraus_ops) -> np.ndarray:
     """Superoperator of the CP map ``X -> sum_k K_k X K_k^dag``."""
     ops = [_square(k, "Kraus operator") for k in kraus_ops]
     if not ops:
         raise ValueError("empty Kraus set")
-    return sum(np.kron(k.conj(), k) for k in ops)
+    return coefficient_superop(ops, np.eye(len(ops)))
 
 
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
@@ -105,41 +116,6 @@ def _require_hermitian(matrix: np.ndarray, tol: float, name: str) -> np.ndarray:
     return m
 
 
-def hermitian_eigs(matrix: np.ndarray, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, u)`` with eigenvalues ``w`` sorted ascending and unitary
-    ``u`` such that ``M = u diag(w) u^dag``.  Raises for inputs that are
-    not Hermitian within ``tol`` relative to the operator norm.
-    """
-    m = _require_hermitian(matrix, tol, "matrix")
-    w, u = np.linalg.eigh(m)
-    return w, u
-
-
-def matrix_exp(generator: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate ``exp(t G)`` for a (possibly non-normal) superoperator.
-
-    Normal generators go through a unitary Schur diagonalization; everything
-    else falls back to scaling-and-squaring (Pade).
-    """
-    g = _square(generator, "generator")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return np.eye(g.shape[0], dtype=complex)
-    comm = g @ g.conj().T - g.conj().T @ g
-    scale = np.linalg.norm(g) ** 2
-    if np.linalg.norm(comm) <= 1e-12 * max(1.0, scale):
-        tmat, q = scipy.linalg.schur(g, output="complex")
-        result = (q * np.exp(t * np.diag(tmat))) @ q.conj().T
-    else:
-        result = scipy.linalg.expm(t * g)
-    if not np.all(np.isfinite(result)):
-        raise FloatingPointError(f"overflow in matrix exponential at t={t}")
-    return result
-
-
 def psd_check(matrix: np.ndarray, tol: float = 1e-8):
     """Test positive semidefiniteness of a Hermitian matrix.
 
@@ -160,10 +136,16 @@ def choi_matrix(superop: np.ndarray) -> np.ndarray:
     For a CP map ``X -> sum_k K_k X K_k^dag`` this equals
     ``sum_k vec(K_k) vec(K_k)^dag`` and is therefore PSD exactly when the
     map is completely positive.  The reshuffle is an involution, so the
-    same function maps Choi matrices back to superoperators.
+    same function maps Choi matrices back to superoperators.  Leading axes
+    are batch axes: ``(..., d**2, d**2)`` maps to the same shape.
     """
-    s = _square(superop, "superoperator")
-    d = int(round(np.sqrt(s.shape[0])))
-    if d * d != s.shape[0]:
-        raise ValueError("superoperator dimension is not a perfect square")
-    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    s = np.asarray(superop, dtype=complex)
+    d = int(round(np.sqrt(s.shape[-1]))) if s.ndim >= 2 else 0
+    if s.ndim < 2 or s.shape[-2:] != (d * d, d * d):
+        raise ValueError(f"superoperator must be (..., d**2, d**2), got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("superoperator has non-finite entries")
+    lead = s.shape[:-2]
+    b = len(lead)
+    order = (*range(b), b + 3, b + 1, b + 2, b)
+    return s.reshape(*lead, d, d, d, d).transpose(order).reshape(*lead, d * d, d * d)

@@ -26,6 +26,7 @@ import scipy.integrate
 
 from .linalg import (
     anticommutator_superop,
+    coefficient_superop,
     hamiltonian_superop,
     hermiticity_residual,
     psd_check,
@@ -34,7 +35,6 @@ from .linalg import (
 
 __all__ = [
     "OperatorBasis",
-    "RateBlock",
     "LindbladRateModel",
     "StackedGenerator",
     "StackedState",
@@ -114,18 +114,6 @@ class OperatorBasis:
 
 
 @dataclass
-class RateBlock:
-    """One coefficient block tagged by its channel or ordered channel pair."""
-
-    tag: tuple[int, int]  # (R, R): diagonal block; (R, R'): feed R <- R'
-    matrix: np.ndarray
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.tag[0] == self.tag[1]
-
-
-@dataclass
 class LindbladRateModel:
     """Complete specification of a Lindblad rate evolution.
 
@@ -193,10 +181,6 @@ class LindbladRateModel:
     def dim(self) -> int:
         return self.basis.dim
 
-    def rate_blocks(self) -> list[RateBlock]:
-        k = self.num_channels
-        return [RateBlock((r, rp), self.blocks[r, rp]) for r in range(k) for rp in range(k)]
-
 
 @dataclass
 class StackedGenerator:
@@ -210,30 +194,34 @@ class StackedGenerator:
 
 @dataclass
 class StackedState:
-    """Ordered collection of auxiliary matrices; the physical state is their sum."""
+    """Ordered collection of auxiliary matrices; the physical state is their sum.
 
-    matrices: np.ndarray  # (K, d, d)
+    Leading axes of ``matrices`` before the channel axis index a batch of
+    stacked states (e.g. one per grid time).
+    """
+
+    matrices: np.ndarray  # (..., K, d, d)
 
     @property
     def num_channels(self) -> int:
-        return self.matrices.shape[0]
+        return self.matrices.shape[-3]
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return self.matrices.shape[-1]
 
     @property
     def system(self) -> np.ndarray:
-        return self.matrices.sum(axis=0)
+        return self.matrices.sum(axis=-3)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([vectorize(m) for m in self.matrices])
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, num_channels: int, dim: int) -> "StackedState":
-        parts = np.asarray(vec, dtype=complex).reshape(num_channels, dim * dim)
-        mats = np.stack([parts[r].reshape(dim, dim, order="F") for r in range(num_channels)])
-        return cls(mats)
+        """Decode channel-major stacked vectors ``(..., K d**2)``."""
+        vec = np.asarray(vec, dtype=complex)
+        return cls(vec.reshape(*vec.shape[:-1], num_channels, dim, dim).swapaxes(-1, -2))
 
 
 @dataclass
@@ -266,15 +254,16 @@ def validate_model(model: LindbladRateModel, psd_tol: float = 1e-8, herm_tol: fl
     """
     reports = []
     all_psd = True
-    for blk in model.rate_blocks():
-        res = hermiticity_residual(blk.matrix)
+    for tag in np.ndindex(model.blocks.shape[:2]):
+        block = model.blocks[tag]
+        res = hermiticity_residual(block)
         if res > herm_tol:
-            sym_min = float(np.linalg.eigvalsh(0.5 * (blk.matrix + blk.matrix.conj().T))[0])
-            reports.append(BlockReport(blk.tag, res, sym_min, False))
+            sym_min = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
+            reports.append(BlockReport(tag, res, sym_min, False))
             all_psd = False
             continue
-        ok, min_eig = psd_check(blk.matrix, psd_tol)
-        reports.append(BlockReport(blk.tag, res, min_eig, ok))
+        ok, min_eig = psd_check(block, psd_tol)
+        reports.append(BlockReport(tag, res, min_eig, ok))
         all_psd = all_psd and ok
     wsum = float(model.weights.sum())
     wpos = bool(np.all(model.weights >= 0))
@@ -286,22 +275,16 @@ def validate_model(model: LindbladRateModel, psd_tol: float = 1e-8, herm_tol: fl
     return ValidationReport(reports, wsum, wpos, hres, passed)
 
 
-def _dissipation_pieces(basis: OperatorBasis, block: np.ndarray):
-    """Return ``(D, F)`` for one coefficient block: the anticommutator
-    operator ``D`` and the sandwich superoperator ``F``."""
-    m, d = basis.size, basis.dim
-    dop = np.zeros((d, d), dtype=complex)
-    fop = np.zeros((d * d, d * d), dtype=complex)
-    for alpha in range(m):
-        va = basis.ops[alpha]
-        for gamma in range(m):
-            a = block[alpha, gamma]
-            if a == 0:
-                continue
-            vg = basis.ops[gamma]
-            dop += 0.5 * a * (vg.conj().T @ va)
-            fop += a * np.kron(vg.conj(), va)
-    return dop, fop
+def _dissipation_pieces(basis: OperatorBasis, blocks: np.ndarray):
+    """Return ``(D, F)`` for coefficient blocks of shape ``(..., m, m)``: the
+    anticommutator operators ``D`` and the sandwich superoperators ``F``."""
+    d = basis.dim
+    fop = coefficient_superop(basis.ops, blocks)
+    lead = fop.shape[:-2]
+    # Tr F[X] = 2 Tr(D X) for every X, so the trace functional (the sum of the
+    # rows i + d*i of F) applied to F is 2 vec(D^T), read back row-major as 2 D.
+    trace_row = np.einsum("...iic->...c", fop.reshape(*lead, d, d, d * d))
+    return 0.5 * trace_row.reshape(*lead, d, d), fop
 
 
 def dissipator_superop(basis: OperatorBasis, block: np.ndarray) -> np.ndarray:
@@ -329,20 +312,14 @@ def assemble_generator(model: LindbladRateModel, validate: bool = True) -> Stack
             raise ValueError(f"model failed CP validation (blocks: {bad or 'weights/hamiltonians'})")
     k, d = model.num_channels, model.dim
     n = d * d
-    gen = np.zeros((k * n, k * n), dtype=complex)
+    dops, fops = _dissipation_pieces(model.basis, model.blocks)
+    gen = fops.transpose(0, 2, 1, 3).reshape(k * n, k * n)
+    # One anticommutator per channel: escape[R] = sum_R'' D(R''<-R) holds D_R and all escape terms.
+    escape = dops.sum(axis=0)
     for r in range(k):
-        diag = hamiltonian_superop(model.hamiltonians[r]) + dissipator_superop(model.basis, model.blocks[r, r])
-        for rpp in range(k):
-            if rpp == r:
-                continue
-            d_esc, _ = _dissipation_pieces(model.basis, model.blocks[rpp, r])
-            diag -= anticommutator_superop(d_esc)
-        gen[r * n : (r + 1) * n, r * n : (r + 1) * n] = diag
-        for rp in range(k):
-            if rp == r:
-                continue
-            _, f_feed = _dissipation_pieces(model.basis, model.blocks[r, rp])
-            gen[r * n : (r + 1) * n, rp * n : (rp + 1) * n] = f_feed
+        gen[r * n : (r + 1) * n, r * n : (r + 1) * n] += hamiltonian_superop(
+            model.hamiltonians[r]
+        ) - anticommutator_superop(escape[r])
     return StackedGenerator(gen, k, d, model.weights.copy())
 
 

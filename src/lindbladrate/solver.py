@@ -192,14 +192,12 @@ def evolve(
 
 
 def _package_result(times: np.ndarray, ys: np.ndarray, k: int, d: int) -> EvolutionResult:
-    t_count = times.shape[0]
-    stacked = np.empty((t_count, k, d, d), dtype=complex)
-    for i in range(t_count):
-        stacked[i] = StackedState.from_vector(ys[i], k, d).matrices
-    system = stacked.sum(axis=1)
+    state = StackedState.from_vector(ys, k, d)
+    stacked, system = state.matrices, state.system
+    system_h = system.conj().transpose(0, 2, 1)
     trace_res = np.abs(np.einsum("tii->t", system) - 1.0)
-    herm_res = np.array([np.linalg.norm(s - s.conj().T) for s in system])
-    min_eig = np.array([np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] for s in system])
+    herm_res = np.linalg.norm(system - system_h, axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(0.5 * (system + system_h))[:, 0]
     return EvolutionResult(times, stacked, system, trace_res, herm_res, min_eig)
 
 

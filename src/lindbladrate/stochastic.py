@@ -35,7 +35,6 @@ __all__ = [
     "select_next_channel",
     "step_trajectory",
     "run_ensemble",
-    "channel_occupation",
 ]
 
 NEVER_JUMPS = np.inf
@@ -84,7 +83,8 @@ class StochasticModel:
                 raise ValueError(f"jump map of channel {r} is not trace preserving")
         tau = trace_vector(d)
         for r in range(k):
-            if np.linalg.norm(tau @ self.self_generator(r)) > 1e-10 * max(1.0, np.linalg.norm(self.self_generator(r))):
+            gen = self.self_generator(r)
+            if np.linalg.norm(tau @ gen) > 1e-10 * max(1.0, np.linalg.norm(gen)):
                 raise ValueError(f"self-generator of channel {r} does not preserve the trace")
 
     @property
@@ -271,18 +271,6 @@ class EnsembleAccumulator:
     def num_channels(self) -> int:
         return self.channel_sums.shape[0]
 
-    def merge(self, other: "EnsembleAccumulator") -> "EnsembleAccumulator":
-        if not np.array_equal(self.grid, other.grid):
-            raise ValueError("accumulators use different grids")
-        return EnsembleAccumulator(
-            self.grid,
-            self.channel_sums + other.channel_sums,
-            self.channel_sq_re + other.channel_sq_re,
-            self.channel_sq_im + other.channel_sq_im,
-            self.count + other.count,
-            self.dim,
-        )
-
     def channel_estimates(self) -> np.ndarray:
         """Estimated auxiliary matrices, shape (K, T, d, d)."""
         k, t = self.channel_sums.shape[0], self.grid.shape[0]
@@ -343,11 +331,6 @@ def run_ensemble(
     kit = _build_kit(model, rho0, times)
     sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed, workers)
     return EnsembleAccumulator(times, sums, sq_re, sq_im, n, model.dim)
-
-
-def channel_occupation(accumulator: EnsembleAccumulator) -> np.ndarray:
-    """Per-time channel occupation probabilities (traces of the estimates)."""
-    return accumulator.channel_occupation()
 
 
 def convert_walk_to_rate_model(

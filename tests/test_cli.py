@@ -31,6 +31,15 @@ class TestParseConfig:
         assert config.model.preset_name() == "fig2"
         assert config.grid[0] == 0.0 and config.grid[-1] == 10.0
 
+    @pytest.mark.parametrize(
+        "state",
+        [[[1.5, 0], [0, -0.5]], [[0.5, 1], [0, 0.5]], [[1, 0, 0], [0, 0, 0]], [[0.6, 0], [0, 0.6]]],
+        ids=["negative-eigenvalue", "non-hermitian", "non-square", "trace"],
+    )
+    def test_initial_state_not_a_density_rejected_with_path(self, state):
+        with pytest.raises(ConfigError, match=r"\$\.initial_state"):
+            parse_config(json.dumps(dict(BASE_CONFIG, initial_state=state)))
+
     def test_weights_not_normalized_rejected_with_path(self):
         payload = {
             "model": {
@@ -234,6 +243,28 @@ class TestCliCommands:
         assert main(["traj", "--preset", "fig2", "--n", "10", "--seed", seed, "--out", str(out)]) == 1
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_n_flag_below_one_exit_1(self, tmp_path, capsys, n):
+        # -5 used to reach run_ensemble and exit 3 as an engine failure
+        out = tmp_path / "t.csv"
+        assert main(["traj", "--preset", "fig2", "--n", n, "--seed", "1", "--out", str(out)]) == 1
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u", ["abc", "0.5,,1", "nan"])
+    def test_malformed_u_flag_exit_1(self, tmp_path, capsys, u):
+        # "abc" used to fail float() inside the kernel command and exit 3
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--preset", "fig2", "--u", u, "--out", str(out)]) == 1
+        assert "--u" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_psd_initial_state_exit_1(self, tmp_path, capsys):
+        # trace 1 and Hermitian, but eigenvalue -0.5: used to exit 3 from the engine
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, initial_state=[[1.5, 0], [0, -0.5]]))
+        assert main(["evolve", "--config", cfg]) == 1
+        assert "$.initial_state" in capsys.readouterr().err
 
     def test_kernel_table(self, tmp_path):
         out = tmp_path / "kernel.csv"

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindbladrate.linalg import (
     choi_matrix,
+    coefficient_superop,
     devectorize,
     hamiltonian_superop,
-    hermitian_eigs,
     kraus_superop,
-    matrix_exp,
     psd_check,
     sandwich_superop,
     trace_vector,
@@ -61,53 +61,6 @@ class TestSandwich:
             sandwich_superop(np.eye(2), np.eye(3))
 
 
-class TestHermitianEigs:
-    def test_sigma_z(self):
-        w, _ = hermitian_eigs(SIGMA_Z)
-        np.testing.assert_allclose(w, [-1.0, 1.0])
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = hermitian_eigs(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
-
-    def test_reconstruction_and_unitarity(self, rng):
-        m = random_hermitian(rng, 4)
-        w, u = hermitian_eigs(m)
-        scale = np.linalg.norm(m)
-        assert np.linalg.norm((u * w) @ u.conj().T - m) < 1e-10 * scale
-        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestMatrixExp:
-    def test_t_zero_is_identity(self, rng):
-        g = rng.normal(size=(3, 3))
-        np.testing.assert_array_equal(matrix_exp(g, 0.0), np.eye(3))
-
-    def test_diagonal_case(self):
-        out = matrix_exp(np.diag([-1.0, -2.0]), 1.0)
-        np.testing.assert_allclose(out, np.diag([np.exp(-1.0), np.exp(-2.0)]), rtol=1e-12)
-
-    def test_semigroup_property(self, rng):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = matrix_exp(g, 0.7) @ matrix_exp(g, 0.4)
-        np.testing.assert_allclose(lhs, matrix_exp(g, 1.1), atol=1e-9)
-
-    def test_trace_preserving_generator(self, rng):
-        # dephasing dissipator annihilates the trace functional
-        gen = kraus_superop([SIGMA_Z]) - np.eye(4)
-        tau = trace_vector(2)
-        prop = matrix_exp(gen, 2.3)
-        for _ in range(10):
-            x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            out = devectorize(prop @ vectorize(x))
-            assert abs(np.trace(out) - np.trace(x)) < 1e-10
-        assert np.linalg.norm(tau @ gen) < 1e-12
-
-
 class TestPsdCheck:
     def test_indefinite(self):
         ok, min_eig = psd_check(np.diag([1.0, -1.0]))
@@ -133,14 +86,43 @@ class TestSuperopHelpers:
         out = devectorize(hamiltonian_superop(h) @ vectorize(x))
         np.testing.assert_allclose(out, -1j * (h @ x - x @ h), atol=1e-12)
 
-    def test_choi_of_kraus_map(self):
-        kraus = [SIGMA_X / np.sqrt(2), SIGMA_Y / np.sqrt(2)]
-        choi = choi_matrix(kraus_superop(kraus))
-        expected = sum(np.outer(vectorize(k), vectorize(k).conj()) for k in kraus)
-        np.testing.assert_allclose(choi, expected, atol=1e-14)
-        ok, _ = psd_check(choi)
-        assert ok
+    def test_choi_of_kraus_map(self, rng):
+        pauli_pair = [SIGMA_X / np.sqrt(2), SIGMA_Y / np.sqrt(2)]
+        random_triple = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
+        for kraus in (pauli_pair, random_triple):
+            choi = choi_matrix(kraus_superop(kraus))
+            expected = sum(np.outer(vec_oracle(k), vec_oracle(k).conj()) for k in kraus)
+            np.testing.assert_allclose(choi, expected, atol=1e-14)
+            ok, _ = psd_check(choi)
+            assert ok
+
+    def test_trace_preserving_generator(self, rng):
+        # dephasing dissipator annihilates the trace functional
+        gen = kraus_superop([SIGMA_Z]) - np.eye(4)
+        tau = trace_vector(2)
+        prop = scipy.linalg.expm(2.3 * gen)
+        for _ in range(10):
+            x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            out = devectorize(prop @ vectorize(x))
+            assert abs(np.trace(out) - np.trace(x)) < 1e-10
+        assert np.linalg.norm(tau @ gen) < 1e-12
 
     def test_choi_reshuffle_is_involution(self, rng):
         s = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         np.testing.assert_array_equal(choi_matrix(choi_matrix(s)), s)
+
+    def test_choi_reshuffle_batches_leading_axes(self, rng):
+        s = rng.normal(size=(2, 3, 9, 9)) + 1j * rng.normal(size=(2, 3, 9, 9))
+        batched = choi_matrix(s)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(batched[idx], choi_matrix(s[idx]))
+
+    def test_coefficient_superop_matches_sandwich_sum(self, rng):
+        ops = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        coeffs = rng.normal(size=(2, 5, 5)) + 1j * rng.normal(size=(2, 5, 5))
+        superops = coefficient_superop(ops, coeffs)
+        for b in range(2):
+            expected = sum(
+                coeffs[b, a, g] * sandwich_superop(ops[a], ops[g].conj().T) for a in range(5) for g in range(5)
+            )
+            np.testing.assert_allclose(superops[b], expected, atol=1e-12)

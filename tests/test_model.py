@@ -75,14 +75,16 @@ class TestValidateModel:
 
 class TestAssembleGenerator:
     def test_single_channel_matches_direct_lindbladian(self, rng):
-        for _ in range(5):
-            basis = random_basis(rng, 2)
-            a = random_psd(rng, basis.size)
-            h = random_hermitian(rng, 2)
-            model = LindbladRateModel.from_blocks(basis, [1.0], a[None], hamiltonians=h[None])
-            gen = assemble_generator(model).matrix
-            oracle = lindblad_superop_oracle(h, basis.ops, a)
-            np.testing.assert_allclose(gen, oracle, atol=1e-12)
+        # full and partial bases (m < d**2) in d = 2 and d = 3
+        for d, m in [(2, 4), (2, 2), (3, 9), (3, 5)]:
+            for _ in range(5):
+                basis = random_basis(rng, d, m)
+                a = random_psd(rng, basis.size)
+                h = random_hermitian(rng, d)
+                model = LindbladRateModel.from_blocks(basis, [1.0], a[None], hamiltonians=h[None])
+                gen = assemble_generator(model).matrix
+                oracle = lindblad_superop_oracle(h, basis.ops, a)
+                np.testing.assert_allclose(gen, oracle, atol=1e-12, err_msg=f"d={d}, m={m}")
 
     def test_decoupled_blocks_give_block_diagonal(self, rng):
         model = random_rate_model(rng, d=2, k=3, coupled=False)
@@ -114,15 +116,30 @@ class TestAssembleGenerator:
         np.testing.assert_allclose(assemble_generator(model).matrix, expected, atol=1e-14)
 
     def test_generator_matches_elementwise_oracle(self, rng):
-        model = random_rate_model(rng, d=2, k=2)
-        gen = assemble_generator(model).matrix
-        for _ in range(5):
-            stacked = np.stack([random_density(rng, 2), random_density(rng, 2)])
-            image = gen @ np.concatenate([vectorize(s) for s in stacked])
-            oracle = apply_rate_equation(model, stacked)
-            np.testing.assert_allclose(
-                StackedState.from_vector(image, 2, 2).matrices, oracle, atol=1e-12
+        models = [random_rate_model(rng, d=d, k=k) for d, k in [(2, 2), (3, 3), (4, 2)]]
+        partial = random_basis(rng, 3, 5)
+        models.append(
+            LindbladRateModel.from_blocks(
+                partial,
+                [0.4, 0.6],
+                [random_psd(rng, 5), random_psd(rng, 5)],
+                {(0, 1): random_psd(rng, 5), (1, 0): random_psd(rng, 5)},
+                hamiltonians=[random_hermitian(rng, 3), random_hermitian(rng, 3)],
             )
+        )
+        for model in models:
+            k, d = model.num_channels, model.dim
+            gen = assemble_generator(model).matrix
+            for _ in range(5):
+                stacked = np.stack([random_density(rng, d) for _ in range(k)])
+                image = gen @ np.concatenate([vectorize(s) for s in stacked])
+                oracle = apply_rate_equation(model, stacked)
+                np.testing.assert_allclose(
+                    StackedState.from_vector(image, k, d).matrices,
+                    oracle,
+                    atol=1e-12,
+                    err_msg=f"d={d}, K={k}, m={model.basis.size}",
+                )
 
     def test_total_trace_functional_annihilated(self, rng):
         model = random_rate_model(rng, d=2, k=3)
@@ -220,9 +237,9 @@ class TestReduceFromTripartite:
         for u in range(k * k):
             b[u, u] = big[u, u]
         model = reduce_from_tripartite(b, k, basis)
-        for blk in model.rate_blocks():
-            ok, min_eig = psd_check(blk.matrix, tol=1e-10)
-            assert ok, f"block {blk.tag} min eigenvalue {min_eig}"
+        for tag in np.ndindex(k, k):
+            ok, min_eig = psd_check(model.blocks[tag], tol=1e-10)
+            assert ok, f"block {tag} min eigenvalue {min_eig}"
 
 
 class TestBuildFromCorrelations:

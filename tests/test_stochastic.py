@@ -20,7 +20,6 @@ from lindbladrate.stochastic import (
     StochasticModel,
     TrajectoryState,
     _build_kit,
-    channel_occupation,
     convert_walk_to_rate_model,
     init_channel,
     run_ensemble,
@@ -417,7 +416,7 @@ class TestRunEnsemble:
         _, walk = dephasing_model(preset_params("fig2"))
         grid = np.linspace(0.0, 120.0, 13)
         acc = run_ensemble(walk, RHO_PLUS_X, grid, 20000, 2718)
-        occ = channel_occupation(acc)
+        occ = acc.channel_occupation()
         np.testing.assert_allclose(occ[0], [0.1, 0.9], atol=0.02)
         stat = np.array([1.0 / 1.1, 0.1 / 1.1])
         np.testing.assert_allclose(occ[-1], stat, atol=0.02)
