@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from . import solver  # stationary_projector is looked up here, where perfbench/tracing.py wraps it
 from ._rng import check_seed
 from .config import (
     _DEFAULT_STATE,
@@ -137,8 +138,9 @@ def _cmd_kernel(config: RunConfig, args) -> int:
     columns = ["u_re", "u_im", "shifted", "condition"]
     columns += [f"K_{i}{j}_{part}" for i in range(d2) for j in range(d2) for part in ("re", "im")]
     rows = []
+    analysis = solver.stationary_projector(rate_model)
     for u in points:
-        sample = memory_kernel_at(rate_model, u)
+        sample = memory_kernel_at(analysis, u)
         row = [u.real, u.imag, float(sample.shifted), sample.condition]
         for i in range(d2):
             for j in range(d2):
@@ -150,8 +152,9 @@ def _cmd_kernel(config: RunConfig, args) -> int:
 
 def _cmd_stationary(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
-    rho_inf = stationary_state(rate_model, config.initial_state)
-    report = homogeneity_check(rate_model)
+    analysis = solver.stationary_projector(rate_model)
+    rho_inf = stationary_state(analysis, config.initial_state)
+    report = homogeneity_check(analysis)
     print(f"stationary state:\n{np.array_str(rho_inf, precision=10, suppress_small=True)}")
     print(f"homogeneity holds: {report.holds}")
     print(f"coherence-sector residual norm: {report.coherence_residual_norm:.6e}")

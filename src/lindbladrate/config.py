@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -38,16 +39,36 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _complex_scalar(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
+            return complex(value[0], value[1])
+    except OverflowError:
+        raise ConfigError(path, "number beyond the float range") from None
     raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
 
 
 def _matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value or not all(isinstance(row, list) for row in value):
         raise ConfigError(path, "expected a matrix as a list of rows")
+    # One array conversion covers the regular layouts: all bare numbers
+    # (r, c) or all [re, im] pairs (r, c, 2).  Filling .real and .imag gives
+    # the bits of complex(re, im), signed zeros included.
+    try:
+        arr = np.array(value)
+    except ValueError:  # inhomogeneous nesting
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf" and (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 2)):
+        out = np.zeros(arr.shape[:2], dtype=complex)
+        if arr.ndim == 2:
+            out.real = arr
+        else:
+            out.real, out.imag = arr[..., 0], arr[..., 1]
+        return out
+    # Anything else (a bad entry, ragged rows, rows mixing pairs and bare
+    # numbers, integers beyond 64 bits) goes entry by entry, which names
+    # the first bad entry.
     rows = []
     width = None
     for i, row in enumerate(value):
@@ -75,6 +96,15 @@ class ModelSource:
 
     def preset_name(self) -> str | None:
         return self.payload.get("name") if self.kind == "preset" else None
+
+    @property
+    def dim(self) -> int:
+        """System dimension ``d`` of the model."""
+        if self.kind == "preset":
+            return 2  # every preset is a qubit reservoir
+        if self.kind == "walk":
+            return self.payload["walk"].dim
+        return self.payload["rate"].dim
 
     def build(self):
         """Return ``(LindbladRateModel, StochasticModel | None)``."""
@@ -120,6 +150,19 @@ def _parse_grid(section, path: str) -> np.ndarray:
         inner = np.geomspace(float(stop) * 10.0 ** (-decades), float(stop), count - 1)
         return np.concatenate([[0.0], inner])
     raise ConfigError(f"{path}.spacing", f"must be 'linear' or 'log', got {spacing!r}")
+
+
+def _parse_tolerances(section, path: str) -> tuple[float, float]:
+    """``(rtol, psd)``: each a finite number >= 0, with defaults 1e-9 and 1e-8."""
+    if not isinstance(section, dict):
+        raise ConfigError(path, f"expected an object with rtol/psd, got {section!r}")
+    values = []
+    for key, default in (("rtol", 1e-9), ("psd", 1e-8)):
+        value = section.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+            raise ConfigError(f"{path}.{key}", f"must be a finite number >= 0, got {value!r}")
+        values.append(float(value))
+    return values[0], values[1]
 
 
 def _parse_basis(section, path: str) -> OperatorBasis:
@@ -246,17 +289,18 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError("$.seed", str(exc)) from exc
 
-    tols = raw.get("tolerances", {})
-    rtol = float(tols.get("rtol", 1e-9))
-    psd_tol = float(tols.get("psd", 1e-8))
+    rtol, psd_tol = _parse_tolerances(raw.get("tolerances", {}), "$.tolerances")
 
-    kernel_points = [_complex_scalar(u, f"$.kernel_u[{i}]") for i, u in enumerate(raw.get("kernel_u", []))]
+    kernel_u = raw.get("kernel_u", [])
+    if not isinstance(kernel_u, list):
+        raise ConfigError("$.kernel_u", f"expected a list of Laplace points, got {kernel_u!r}")
+    kernel_points = [_complex_scalar(u, f"$.kernel_u[{i}]") for i, u in enumerate(kernel_u)]
     workers = raw.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("$.workers", "must be an integer >= 1")
 
     try:
-        _check_density(state, state.shape[0], psd_tol)
+        _check_density(state, model.dim, psd_tol)
     except ValueError as exc:
         raise ConfigError("$.initial_state", str(exc)) from exc
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .linalg import (
     anticommutator_superop,
@@ -465,6 +464,8 @@ def build_from_correlations(
         for rp in range(k):
             integrand = chi[r, rp] @ coeffs  # (n_tau, m, m), indices (gamma, alpha)
             if quadrature == "simpson":
+                import scipy.integrate  # only Simpson needs it; importing it costs ~0.1 s of start-up
+
                 z = scipy.integrate.simpson(integrand, x=tau, axis=0)
             else:
                 z = np.trapezoid(integrand, x=tau, axis=0)

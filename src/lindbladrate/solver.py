@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .linalg import hamiltonian_superop
@@ -76,13 +75,39 @@ class EvolutionResult:
 
 @dataclass
 class StationaryProjector:
-    """Spectral projector onto the zero eigenvalue of the stacked generator."""
+    """Spectral analysis of one stacked generator: the projector onto its zero
+    eigenvalue and the parts of it that the spectral functions reuse.
+
+    ``stationary_state``, ``homogeneity_check``, ``memory_kernel_at`` and
+    ``reduced_resolvent`` accept it in place of a model, so a command that
+    builds it once validates, assembles and Schur-decomposes its generator
+    once.  The memory parts exist only when it was built from a model, whose
+    system Hamiltonian fixes the split ``M = G - blockdiag(-i[H_S, .])``.
+    """
 
     projector: np.ndarray  # (K d^2, K d^2)
     reduced_map: np.ndarray  # (d^2, d^2): rho_0 -> stationary rho_S
     zero_dimension: int
-    num_channels: int
-    dim: int
+    generator: StackedGenerator
+    eigenvalues: np.ndarray  # (K d^2,) Schur diagonal, zero cluster first
+    scale: float  # max(1, |G|_2)
+    embedding: np.ndarray  # (K d^2, d^2): vec(rho) -> (P_R vec(rho))_R
+    memory_embedding: np.ndarray | None = None  # M @ embedding
+    stationary_memory: np.ndarray | None = None  # (d^2, d^2): (1| P M |P)
+
+    @property
+    def num_channels(self) -> int:
+        return self.generator.num_channels
+
+    @property
+    def dim(self) -> int:
+        return self.generator.dim
+
+    def slowest_rate(self) -> float | None:
+        """Largest real part among the nonzero eigenvalues, ``None`` when
+        every eigenvalue lies in the zero cluster."""
+        rest = self.eigenvalues[self.zero_dimension :]
+        return float(np.max(rest.real)) if rest.size else None
 
 
 @dataclass
@@ -107,7 +132,15 @@ class KernelSample:
 def _as_generator(model_or_generator) -> StackedGenerator:
     if isinstance(model_or_generator, StackedGenerator):
         return model_or_generator
+    if isinstance(model_or_generator, StationaryProjector):
+        return model_or_generator.generator
     return assemble_generator(model_or_generator)
+
+
+def _as_analysis(model_or_analysis) -> StationaryProjector:
+    if isinstance(model_or_analysis, StationaryProjector):
+        return model_or_analysis
+    return stationary_projector(model_or_analysis)
 
 
 def _grid_array(grid) -> np.ndarray:
@@ -148,6 +181,8 @@ def _propagate_exact(gen: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.n
 
 def _propagate_rk(gen: np.ndarray, y0: np.ndarray, times: np.ndarray, rtol: float, atol: float) -> np.ndarray:
     """Adaptive DOP853 on the real embedding of the complex linear system."""
+    import scipy.integrate  # only this path needs it; importing it costs ~0.1 s of start-up
+
     n = y0.shape[0]
     big = np.block([[gen.real, -gen.imag], [gen.imag, gen.real]])
     z0 = np.concatenate([y0.real, y0.imag])
@@ -219,7 +254,8 @@ def _sum_channels(stacked_cols: np.ndarray, k: int, n: int) -> np.ndarray:
 
 
 def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> StationaryProjector:
-    """Spectral projector onto the zero eigenvalue of the stacked generator.
+    """Spectral analysis of a model or stacked generator (see
+    :class:`StationaryProjector`).
 
     Uses a sorted complex Schur form; the zero cluster collects eigenvalues
     with ``|lambda| < zero_tol * max(1, |G|)``.  A non-vanishing restriction
@@ -256,8 +292,16 @@ def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> Stationa
             raise DefectiveSpectrumError("projector is not idempotent within tolerance")
         if np.linalg.norm(g @ proj) > 1e-8 * scale:
             raise DefectiveSpectrumError("projector does not annihilate the generator")
-    reduced = _sum_channels(proj @ _embed_columns(gen.weights, gen.dim), gen.num_channels, n)
-    return StationaryProjector(proj, reduced, sdim, gen.num_channels, gen.dim)
+    k = gen.num_channels
+    embed = _embed_columns(gen.weights, gen.dim)
+    reduced = _sum_channels(proj @ embed, k, n)
+    memory_embed = stationary_memory = None
+    if isinstance(model_or_generator, LindbladRateModel):
+        memory = g - np.kron(np.eye(k), hamiltonian_superop(model_or_generator.system_hamiltonian))
+        memory_embed = memory @ embed
+        stationary_memory = _sum_channels(proj @ memory_embed, k, n)
+    eigenvalues = np.diag(tmat).copy()
+    return StationaryProjector(proj, reduced, sdim, gen, eigenvalues, scale, embed, memory_embed, stationary_memory)
 
 
 def _sector_indices(dim: int):
@@ -266,7 +310,7 @@ def _sector_indices(dim: int):
     return pop, coh
 
 
-def homogeneity_check(model_or_generator, tol: float = 1e-9) -> HomogeneityReport:
+def homogeneity_check(model_or_analysis, tol: float = 1e-9) -> HomogeneityReport:
     """Test whether the reduced stationary map vanishes.
 
     The convolution form of the reduced dynamics is valid without an
@@ -274,7 +318,7 @@ def homogeneity_check(model_or_generator, tol: float = 1e-9) -> HomogeneityRepor
     some observable (e.g. dephasing populations) always fail globally, so
     the report also resolves the population/coherence sectors.
     """
-    proj = stationary_projector(model_or_generator)
+    proj = _as_analysis(model_or_analysis)
     mat = proj.reduced_map
     pop, coh = _sector_indices(proj.dim)
     sectors = {
@@ -306,20 +350,17 @@ def reduced_resolvent(model_or_generator, u: complex) -> np.ndarray:
     return _sum_channels(cols, gen.num_channels, n)
 
 
-def _memory_split(model: LindbladRateModel, gen: StackedGenerator) -> np.ndarray:
-    """The non-Hamiltonian stacked part M = G - blockdiag(-i[H_S, .])."""
-    lh = hamiltonian_superop(model.system_hamiltonian)
-    k = gen.num_channels
-    return gen.matrix - np.kron(np.eye(k), lh)
-
-
 def memory_kernel_at(
-    model: LindbladRateModel,
+    model_or_analysis,
     u: complex,
     homogeneity_tol: float = 1e-9,
     residual_tol: float = 1e-8,
 ) -> KernelSample:
     """Sample the Laplace-domain memory kernel at one point.
+
+    Takes a model or its :func:`stationary_projector` (built from the model,
+    which fixes the memory part ``M``); sampling many points from one
+    projector analyses the generator once.
 
     Solves ``R(u) L(u) = (1| (u-G)^{-1} M |P)`` as a linear system
     (never by inverting the reduced propagator; conditioning is reported).
@@ -330,26 +371,26 @@ def memory_kernel_at(
     solutions, the one closest to satisfying the unshifted relation (so a
     Markovian model still yields its bare dissipative generator).
     """
-    gen = _as_generator(model)
-    n = gen.dim * gen.dim
-    mhat = _memory_split(model, gen)
+    proj = _as_analysis(model_or_analysis)
+    if proj.memory_embedding is None:
+        raise TypeError("memory_kernel_at needs a model or a stationary_projector built from one")
+    gen = proj.generator
+    k, n = gen.num_channels, gen.dim * gen.dim
     lhs_full = u * np.eye(gen.matrix.shape[0]) - gen.matrix
     try:
         lu = scipy.linalg.lu_factor(lhs_full)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SingularSolveError(f"resolvent solve singular at u = {u}") from exc
-    embed = _embed_columns(gen.weights, gen.dim)
-    resolvent = _sum_channels(scipy.linalg.lu_solve(lu, embed), gen.num_channels, n)
-    rhs_plain = _sum_channels(scipy.linalg.lu_solve(lu, mhat @ embed), gen.num_channels, n)
+    resolvent = _sum_channels(scipy.linalg.lu_solve(lu, proj.embedding), k, n)
+    rhs_plain = _sum_channels(scipy.linalg.lu_solve(lu, proj.memory_embedding), k, n)
     if not (np.all(np.isfinite(resolvent)) and np.all(np.isfinite(rhs_plain))):
         raise SingularSolveError(f"resolvent solve singular at u = {u}")
 
-    proj = stationary_projector(gen)
     shifted = float(np.abs(proj.reduced_map).max()) > homogeneity_tol
     lhs, rhs = resolvent, rhs_plain
     if shifted:
         lhs = resolvent - proj.reduced_map / u
-        rhs = rhs_plain - _sum_channels(proj.projector @ (mhat @ embed), gen.num_channels, n) / u
+        rhs = rhs_plain - proj.stationary_memory / u
 
     left, sv, right_h = np.linalg.svd(lhs)
     # Structural zeros of the shifted system carry LU/Schur cancellation noise
@@ -374,7 +415,7 @@ def memory_kernel_at(
 
 
 def stationary_state(
-    model_or_generator,
+    model_or_analysis,
     rho0: np.ndarray,
     cross_check: bool = True,
     cross_tol: float = 1e-6,
@@ -382,32 +423,28 @@ def stationary_state(
     """Stationary physical state reached from ``rho0``.
 
     Computed spectrally from the stationary projector; by construction it
-    may depend on the initial state.  A long-time integration at
-    ``t = 20 / |Re lambda_2|`` (slowest decaying nonzero mode) cross-checks
-    the spectral result.
+    may depend on the initial state.  The state ``expm(t G) y0`` at
+    ``t = 20 / |Re lambda_2|`` (slowest decaying nonzero mode, read off the
+    Schur diagonal) cross-checks the spectral result.
     """
-    gen = _as_generator(model_or_generator)
-    proj = stationary_projector(gen)
+    proj = _as_analysis(model_or_analysis)
+    gen = proj.generator
     rho0 = np.asarray(rho0, dtype=complex)
     vec0 = rho0.reshape(-1, order="F")
     stat = (proj.reduced_map @ vec0).reshape(gen.dim, gen.dim, order="F")
-    if cross_check:
-        scale = max(1.0, float(np.linalg.norm(gen.matrix, 2)))
-        vals = np.linalg.eigvals(gen.matrix)
-        nonzero = vals[np.abs(vals) >= 1e-9 * scale]
-        if nonzero.size:
-            slowest = float(np.max(nonzero.real))
-            if slowest > -1e-12 * scale:
-                raise SolverError("non-decaying modes present; no stationary limit")
-            t_relax = 20.0 / abs(slowest)
-            y0 = np.concatenate([p * vec0 for p in gen.weights])
-            y_end = _propagate_exact(gen.matrix, y0, np.array([0.0, t_relax]))[-1]
-            rho_end = _sum_channels(y_end.reshape(-1, 1), gen.num_channels, gen.dim**2).reshape(
-                gen.dim, gen.dim, order="F"
+    slowest = proj.slowest_rate()
+    if cross_check and slowest is not None:
+        if slowest > -1e-12 * proj.scale:
+            raise SolverError("non-decaying modes present; no stationary limit")
+        t_relax = 20.0 / abs(slowest)
+        y0 = np.concatenate([p * vec0 for p in gen.weights])
+        y_end = scipy.linalg.expm(t_relax * gen.matrix) @ y0
+        rho_end = _sum_channels(y_end.reshape(-1, 1), gen.num_channels, gen.dim**2).reshape(
+            gen.dim, gen.dim, order="F"
+        )
+        if np.abs(rho_end - stat).max() > cross_tol:
+            raise SolverError(
+                f"spectral stationary state disagrees with long-time integration "
+                f"by {np.abs(rho_end - stat).max():.3e}"
             )
-            if np.abs(rho_end - stat).max() > cross_tol:
-                raise SolverError(
-                    f"spectral stationary state disagrees with long-time integration "
-                    f"by {np.abs(rho_end - stat).max():.3e}"
-                )
     return stat

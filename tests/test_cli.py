@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lindbladrate
+from lindbladrate import solver
 from lindbladrate.cli import main
-from lindbladrate.config import ConfigError, OutputTable, emit_csv, parse_config
+from lindbladrate.config import ConfigError, OutputTable, _matrix, emit_csv, parse_config
 
 BASE_CONFIG = {
     "model": {"type": "preset", "name": "fig2"},
@@ -100,6 +105,97 @@ class TestParseConfig:
         payload = dict(BASE_CONFIG, grid={"stop": 1.0, "count": 3, "spacing": "cubic"})
         with pytest.raises(ConfigError, match=r"\$\.grid\.spacing"):
             parse_config(json.dumps(payload))
+
+
+def _matrix_per_entry(value, path):
+    """Reference parse, one entry at a time: bare numbers are real, [re, im]
+    pairs complex; the first bad entry or ragged row is named."""
+    if not isinstance(value, list) or not value or not all(isinstance(row, list) for row in value):
+        raise ConfigError(path, "expected a matrix as a list of rows")
+    rows = []
+    for i, row in enumerate(value):
+        entries = []
+        for j, x in enumerate(row):
+            if isinstance(x, (int, float)):
+                entries.append(complex(x))
+            elif isinstance(x, list) and len(x) == 2 and all(isinstance(y, (int, float)) for y in x):
+                entries.append(complex(x[0], x[1]))
+            else:
+                raise ConfigError(f"{path}[{i}][{j}]", f"expected a number or [re, im] pair, got {x!r}")
+        if rows and len(entries) != len(rows[0]):
+            raise ConfigError(f"{path}[{i}]", "ragged matrix rows")
+        rows.append(entries)
+    return np.array(rows, dtype=complex)
+
+
+def _same_bits(a, b):
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+class TestMatrixParse:
+    VALID = {
+        "real": [[0.5, -0.0], [0.0, 0.5]],
+        "ints": [[1, -2], [3, 0]],
+        "bools": [[True, False], [False, True]],
+        "pairs": [[[0.5, -0.0], [-0.0, 0.25]], [[0.1, 1e-300], [-1e300, -0.0]]],
+        "int-pairs": [[[1, 0], [0, -1]], [[2, 3], [4, 5]]],
+        "uint64-range": [[2**63 + 1025, 2**64 - 1], [-(2**63), 7]],
+        "int-and-float": [[1, 2.5], [-0.0, 3]],
+        "single-row": [[[1.0, 2.0], [3.0, 4.0]]],
+        "one-entry": [[-0.0]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_valid_matrix_bits_match_per_entry_parse(self, name):
+        value = self.VALID[name]
+        assert _same_bits(_matrix(value, "$.m"), _matrix_per_entry(value, "$.m"))
+
+    IRREGULAR = {
+        "string": [[1.0, "x"], [0.0, 1.0]],
+        "numeric-string": [["1.5", 0.0], [0.0, 1.0]],
+        "none": [[1.0, None], [0.0, 1.0]],
+        "ragged": [[1.0, 0.0], [0.0]],
+        "mixed-rows": [[[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0]],
+        "mixed-entries": [[1.0, [0.0, 0.5]], [[0.0, -0.5], 0.0]],
+        "three-element": [[[1.0, 0.0, 0.0], 0.0], [0.0, 1.0]],
+        "empty-row": [[1.0], []],
+        "empty-rows": [[], []],
+        "too-deep": [[[[1.0, 0.0], [0.0, 0.0]], 0.0], [0.0, 1.0]],
+        "int-beyond-64-bits": [[2**64, 0], [0, -(2**63) - 1]],
+        "dict": [[{"re": 1}, 0.0], [0.0, 1.0]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(IRREGULAR))
+    def test_irregular_matrix_keeps_per_entry_outcome(self, name):
+        value = self.IRREGULAR[name]
+        try:
+            expected = _matrix_per_entry(value, "$.m")
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                _matrix(value, "$.m")
+            assert str(got.value) == str(exc)
+        else:
+            assert _same_bits(_matrix(value, "$.m"), expected)
+
+    @pytest.mark.parametrize(
+        "name", ["string", "numeric-string", "none", "ragged", "three-element", "empty-row", "too-deep", "dict"]
+    )
+    def test_malformed_state_exit_1_naming_entry(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, initial_state=self.IRREGULAR[name]))
+        assert main(["evolve", "--config", cfg]) == 1
+        assert "$.initial_state[" in capsys.readouterr().err
+
+    def test_number_beyond_float_range_exit_1(self, tmp_path, capsys):
+        # complex(10**400) used to raise OverflowError out of the parser
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, initial_state=[[10**400, 0], [0, 0]]))
+        assert main(["evolve", "--config", cfg]) == 1
+        assert "$.initial_state[0][0]" in capsys.readouterr().err
 
 
 class TestEmitCsv:
@@ -266,6 +362,44 @@ class TestCliCommands:
         assert main(["evolve", "--config", cfg]) == 1
         assert "$.initial_state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"initial_state": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "$.initial_state:"),
+            ({"tolerances": {"psd": "abc"}}, "$.tolerances.psd:"),
+            ({"tolerances": []}, "$.tolerances:"),
+            ({"tolerances": {"rtol": None}}, "$.tolerances.rtol:"),
+            ({"tolerances": {"psd": -1}}, "$.tolerances.psd:"),
+            ({"kernel_u": "abc"}, "$.kernel_u: expected a list"),
+        ],
+        ids=["state-dim-mismatch", "psd-string", "tolerances-list", "rtol-null", "psd-negative", "kernel-u-string"],
+    )
+    def test_bad_config_field_exit_1_naming_it(self, tmp_path, capsys, extra, field):
+        # a 3x3 state on the qubit preset used to exit 3 from a matmul, the
+        # tolerance cases ended in tracebacks or blamed $.initial_state, and
+        # a kernel_u string was walked as if it were a list
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **extra))
+        assert main(["stationary", "--config", cfg]) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["kernel", "--u", "1.5,2,2.5,3,4,6"], ["stationary"]], ids=["kernel-6-points", "stationary"]
+    )
+    def test_one_spectral_analysis_per_command(self, tmp_path, monkeypatch, argv):
+        # wrapped on the module, as perfbench/tracing.py does
+        calls = {"stationary_projector": 0, "assemble_generator": 0}
+        for name in calls:
+            original = getattr(solver, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--preset", "fig2", "--out", str(out)]) == 0
+        assert calls == {"stationary_projector": 1, "assemble_generator": 1}
+
     def test_kernel_table(self, tmp_path):
         out = tmp_path / "kernel.csv"
         assert main(["kernel", "--preset", "fig1-upper", "--u", "0.5,1,2,4", "--out", str(out)]) == 0
@@ -381,3 +515,11 @@ class TestModelSources:
 
         model, _ = load_config(cfg).model.build()
         assert model.blocks[0, 0, 0, 0].real == pytest.approx(2 * c * tau_c, rel=1e-5)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only method="rk" and Simpson quadrature need it, and it is ~0.1 s of start-up
+    code = "import sys, lindbladrate.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindbladrate.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

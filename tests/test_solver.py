@@ -24,6 +24,7 @@ from lindbladrate.qubit import (
 from lindbladrate.solver import (
     DefectiveSpectrumError,
     SingularSolveError,
+    SolverError,
     evolve,
     homogeneity_check,
     memory_kernel_at,
@@ -303,3 +304,58 @@ class TestStationaryState:
     def test_zero_generator_everything_stationary(self, rng):
         rho0 = random_density(rng, 2)
         np.testing.assert_allclose(stationary_state(_free_model(), rho0), rho0, atol=1e-12)
+
+
+class TestSharedAnalysis:
+    """One ``stationary_projector`` serves every spectral call of a command."""
+
+    @staticmethod
+    def _models(rng):
+        fig2, _ = dephasing_model(preset_params("fig2"))
+        random44 = random_rate_model(rng, d=4, k=4)
+        random44.system_hamiltonian = random44.hamiltonians[0].copy()
+        return {"fig2": (fig2, (1.5, 2.0, 4.5)), "random(4,4)": (random44, (0.5, 1.3, 3.7))}
+
+    def test_kernel_from_shared_projector_is_bit_identical(self, rng):
+        for name, (model, points) in self._models(rng).items():
+            analysis = stationary_projector(model)
+            for u in points:
+                shared, fresh = memory_kernel_at(analysis, u), memory_kernel_at(model, u)
+                assert np.array_equal(shared.kernel, fresh.kernel), (name, u)
+                assert (shared.shifted, shared.condition, shared.rank, shared.residual) == (
+                    fresh.shifted,
+                    fresh.condition,
+                    fresh.rank,
+                    fresh.residual,
+                ), (name, u)
+
+    def test_stationary_and_homogeneity_from_shared_projector(self, rng):
+        for name, (model, _) in self._models(rng).items():
+            analysis = stationary_projector(model)
+            rho0 = random_density(rng, model.dim)
+            assert np.array_equal(stationary_state(analysis, rho0), stationary_state(model, rho0)), name
+            assert np.array_equal(homogeneity_check(analysis).reduced_map, homogeneity_check(model).reduced_map)
+
+    def test_kernel_refuses_analysis_without_model(self, rng):
+        analysis = stationary_projector(assemble_generator(random_rate_model(rng, d=2, k=2)))
+        with pytest.raises(TypeError, match="model"):
+            memory_kernel_at(analysis, 1.0)
+
+    def test_corrupted_reduced_map_fails_cross_check(self, rng):
+        for name, (model, _) in self._models(rng).items():
+            analysis = stationary_projector(model)
+            analysis.reduced_map = analysis.reduced_map + 1e-3
+            with pytest.raises(SolverError, match="long-time"):
+                stationary_state(analysis, random_density(rng, model.dim))
+
+    def test_slowest_rate_matches_eigvals(self, rng):
+        for d, k in ((2, 1), (2, 2), (3, 2), (4, 4)):
+            model = random_rate_model(rng, d=d, k=k)
+            analysis = stationary_projector(model)
+            vals = np.linalg.eigvals(assemble_generator(model).matrix)
+            nonzero = vals[np.abs(vals) >= 1e-9 * analysis.scale]
+            assert analysis.zero_dimension == vals.size - nonzero.size
+            assert analysis.slowest_rate() == pytest.approx(np.max(nonzero.real), rel=1e-9, abs=1e-12)
+
+    def test_slowest_rate_none_when_everything_is_stationary(self):
+        assert stationary_projector(_free_model()).slowest_rate() is None
