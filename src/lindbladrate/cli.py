@@ -141,11 +141,8 @@ def _cmd_kernel(config: RunConfig, args) -> int:
     analysis = solver.stationary_projector(rate_model)
     for u in points:
         sample = memory_kernel_at(analysis, u)
-        row = [u.real, u.imag, float(sample.shifted), sample.condition]
-        for i in range(d2):
-            for j in range(d2):
-                row += [sample.kernel[i, j].real, sample.kernel[i, j].imag]
-        rows.append(row)
+        head = [u.real, u.imag, float(sample.shifted), sample.condition]
+        rows.append(np.concatenate([head, np.stack([sample.kernel.real, sample.kernel.imag], -1).reshape(-1)]))
     emit_csv(OutputTable(columns, np.array(rows)), args.out or config.output)
     return 0
 
@@ -153,7 +150,7 @@ def _cmd_kernel(config: RunConfig, args) -> int:
 def _cmd_stationary(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
     analysis = solver.stationary_projector(rate_model)
-    rho_inf = stationary_state(analysis, config.initial_state)
+    rho_inf = stationary_state(analysis, config.initial_state, psd_tol=config.psd_tol)
     report = homogeneity_check(analysis)
     print(f"stationary state:\n{np.array_str(rho_inf, precision=10, suppress_small=True)}")
     print(f"homogeneity holds: {report.holds}")
@@ -163,11 +160,8 @@ def _cmd_stationary(config: RunConfig, args) -> int:
     if args.out or config.output:
         d = rate_model.dim
         columns = [f"rho_{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im")]
-        row = []
-        for i in range(d):
-            for j in range(d):
-                row += [rho_inf[i, j].real, rho_inf[i, j].imag]
-        emit_csv(OutputTable(columns, np.array([row])), args.out or config.output)
+        row = np.stack([rho_inf.real, rho_inf.imag], -1).reshape(1, -1)
+        emit_csv(OutputTable(columns, row), args.out or config.output)
     return 0
 
 

@@ -338,14 +338,25 @@ class OutputTable:
             raise ValueError("table contains non-finite values")
 
 
+_CSV_ROWS = 256  # rows formatted per write; bounds the text held in memory
+
+
 def emit_csv(table: OutputTable, path: str | None) -> None:
     """Write a table as CSV with 17-significant-digit decimal text to
-    ``path``, or to stdout when no path is given."""
+    ``path``, or to stdout when no path is given.
+
+    Each cell is ``"%.17g" % x``, the same text as ``f"{x:.17g}"``.  Rows
+    are formatted ``_CSV_ROWS`` at a time with one template, so the text
+    held in memory stays small whatever the table's length.
+    """
+    rows = table.rows
+    line = ",".join(["%.17g"] * rows.shape[-1]) + "\n"
     out = open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
         fh.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        for start in range(0, len(rows), _CSV_ROWS):
+            blk = rows[start : start + _CSV_ROWS]
+            fh.write((line * len(blk)) % tuple(blk.ravel().tolist()))
 
 
 def _observable_columns(dim: int) -> list[str]:
@@ -388,7 +399,7 @@ def stochastic_table(acc) -> OutputTable:
     d, k = acc.dim, acc.num_channels
     system = acc.system_estimate()
     se_re, se_im = acc.system_standard_error()
-    min_eig = np.array([np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] for s in system])
+    min_eig = np.linalg.eigvalsh(0.5 * (system + system.conj().transpose(0, 2, 1)))[:, 0]
     obs_cols = _observable_columns(d)
     columns = ["t"] + obs_cols + [f"trace_ch{r}" for r in range(k)] + ["min_eig"]
     columns += [f"se_{c}" for c in obs_cols]

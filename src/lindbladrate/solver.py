@@ -17,7 +17,14 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import hamiltonian_superop
-from .model import LindbladRateModel, StackedGenerator, StackedState, assemble_generator, initial_stacked_state
+from .model import (
+    LindbladRateModel,
+    StackedGenerator,
+    StackedState,
+    _check_density,
+    assemble_generator,
+    initial_stacked_state,
+)
 
 __all__ = [
     "EvolutionResult",
@@ -419,17 +426,20 @@ def stationary_state(
     rho0: np.ndarray,
     cross_check: bool = True,
     cross_tol: float = 1e-6,
+    psd_tol: float = 1e-8,
 ) -> np.ndarray:
     """Stationary physical state reached from ``rho0``.
 
     Computed spectrally from the stationary projector; by construction it
     may depend on the initial state.  The state ``expm(t G) y0`` at
     ``t = 20 / |Re lambda_2|`` (slowest decaying nonzero mode, read off the
-    Schur diagonal) cross-checks the spectral result.
+    Schur diagonal) cross-checks the spectral result.  ``rho0`` must be a
+    ``(d, d)`` density matrix (PSD within ``psd_tol``), as in :func:`evolve`;
+    otherwise ``ValueError`` is raised.
     """
     proj = _as_analysis(model_or_analysis)
     gen = proj.generator
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = _check_density(rho0, gen.dim, psd_tol)
     vec0 = rho0.reshape(-1, order="F")
     stat = (proj.reduced_map @ vec0).reshape(gen.dim, gen.dim, order="F")
     slowest = proj.slowest_rate()

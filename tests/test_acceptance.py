@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lindbladrate.config import OutputTable, emit_csv
 from lindbladrate.linalg import vectorize
 from lindbladrate.model import (
     assemble_generator,
@@ -139,10 +140,8 @@ def test_criterion_05_monte_carlo_convergence(fig2_mc_runs):
     # visual artifact: n = 500 noisy tracking of the closed form
     h500, se500 = _mc_h_and_se(runs[500])
     ARTIFACT_DIR.mkdir(exist_ok=True)
-    with open(ARTIFACT_DIR / "fig2_mc_n500.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,h_mc,h_exact,se\n")
-        for row in zip(grid, h500, h_exact, se500):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    table = OutputTable(["t", "h_mc", "h_exact", "se"], np.stack([grid, h500, h_exact, se500], axis=1))
+    emit_csv(table, str(ARTIFACT_DIR / "fig2_mc_n500.csv"))
     assert np.all(np.abs(h500 - h_exact) <= 6.0 * se500 + 1e-12)
 
     # n = 1e5 matches the deterministic curve within 4 standard errors

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import lindbladrate
 from lindbladrate import solver
 from lindbladrate.cli import main
-from lindbladrate.config import ConfigError, OutputTable, _matrix, emit_csv, parse_config
+from lindbladrate.config import _CSV_ROWS, ConfigError, OutputTable, _matrix, emit_csv, parse_config
 
 BASE_CONFIG = {
     "model": {"type": "preset", "name": "fig2"},
@@ -219,6 +220,47 @@ class TestEmitCsv:
         emit_csv(table, str(path))
         assert path.read_text().endswith("\n")
 
+    @staticmethod
+    def _reference_text(table):
+        """One f-string per cell: the text every earlier version wrote."""
+        lines = [",".join(table.columns)] + [",".join(f"{x:.17g}" for x in row) for row in table.rows]
+        return "\n".join(lines) + "\n"
+
+    _SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, -3.0, 2.0**53]
+
+    def _table(self, rng, count):
+        width = len(self._SPECIAL)
+        values = rng.normal(size=(count, width)) * 10.0 ** rng.integers(-300, 300, size=(count, width))
+        values[:, 1] = rng.integers(-(10**9), 10**9, size=count)  # exact integers
+        values[0] = self._SPECIAL
+        values[-1, ::-1] = self._SPECIAL
+        return OutputTable([f"c{i}" for i in range(width)], values)
+
+    def test_bytes_match_per_cell_reference_across_blocks(self, tmp_path, rng):
+        for count in (1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 3 * _CSV_ROWS + 7):
+            table = self._table(rng, count)
+            path = tmp_path / f"rows{count}.csv"
+            emit_csv(table, str(path))
+            assert path.read_bytes() == self._reference_text(table).encode("utf-8"), count
+
+    def test_stdout_gets_the_same_bytes(self, tmp_path, rng, capsys):
+        table = self._table(rng, _CSV_ROWS + 3)
+        capsys.readouterr()
+        emit_csv(table, None)
+        assert capsys.readouterr().out == self._reference_text(table)
+
+    def test_memory_stays_bounded_on_long_tables(self, tmp_path, rng):
+        # 14000 x 14 is an evolve-long sized table (~4 MB of text); formatting
+        # it in one piece would hold the text and a float per cell at once
+        table = OutputTable([f"c{i}" for i in range(14)], rng.normal(size=(14000, 14)))
+        tracemalloc.start()
+        try:
+            emit_csv(table, str(tmp_path / "long.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
 
 class TestCliCommands:
     def test_validate_preset_passes(self, capsys):
@@ -355,6 +397,15 @@ class TestCliCommands:
         assert main(["kernel", "--preset", "fig2", "--u", u, "--out", str(out)]) == 1
         assert "--u" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stationary_honours_loosened_psd_tolerance(self, tmp_path, capsys):
+        # eigenvalue -1e-6: outside the default tolerance 1e-8, inside a loosened one
+        state = [[0.5, 0.500001], [0.500001, 0.5]]
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, initial_state=state))
+        assert main(["stationary", "--config", cfg]) == 1
+        assert "$.initial_state" in capsys.readouterr().err
+        loose = dict(BASE_CONFIG, initial_state=state, tolerances={"psd": 1e-5})
+        assert main(["stationary", "--config", write_config(tmp_path, loose, "loose.json")]) == 0
 
     def test_non_psd_initial_state_exit_1(self, tmp_path, capsys):
         # trace 1 and Hermitian, but eigenvalue -0.5: used to exit 3 from the engine

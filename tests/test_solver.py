@@ -305,6 +305,16 @@ class TestStationaryState:
         rho0 = random_density(rng, 2)
         np.testing.assert_allclose(stationary_state(_free_model(), rho0), rho0, atol=1e-12)
 
+    def test_rho0_must_be_a_density_of_the_model(self):
+        model, _ = dephasing_model(preset_params("fig2"))
+        analysis = stationary_projector(model)
+        near_psd = np.array([[0.5, 0.500001], [0.500001, 0.5]])  # eigenvalue -1e-6
+        for bad, match in ((np.eye(3) / 3, r"state must be \(2, 2\)"), (np.eye(2), "trace"), (near_psd, "negative")):
+            for source in (model, analysis):
+                with pytest.raises(ValueError, match=match):
+                    stationary_state(source, bad)
+        np.testing.assert_allclose(stationary_state(analysis, near_psd, psd_tol=1e-5).trace(), 1.0, atol=1e-12)
+
 
 class TestSharedAnalysis:
     """One ``stationary_projector`` serves every spectral call of a command."""
