@@ -4,7 +4,7 @@ density matrices with classical rate-equation structure.
 The physical state is the channel sum ``rho_S = sum_R rho_R``; channels
 exchange weight like a continuous-time Markov chain while each carries its
 own Lindblad self-dynamics.  The package provides a deterministic solver
-(exact exponential / adaptive RK), spectral stationary analysis,
+(exact exponential), spectral stationary analysis,
 Laplace-domain memory kernels, a reproducible Monte Carlo trajectory
 unraveling of Walk-class models, closed-form qubit dephasing/depolarizing
 reservoirs used as oracles, and the ``lre`` command line tool.
@@ -68,13 +68,8 @@ from .solver import (
 from .stochastic import (
     EnsembleAccumulator,
     StochasticModel,
-    TrajectoryState,
     convert_walk_to_rate_model,
-    init_channel,
     run_ensemble,
-    sample_sojourn,
-    select_next_channel,
-    step_trajectory,
 )
 
 __version__ = "0.1.0"

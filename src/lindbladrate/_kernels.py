@@ -10,9 +10,9 @@ trajectories with one matrix product.
 Reproducibility: trajectory ``i`` consumes substream ``i`` of the master seed;
 grid samples are written to per-channel ``(B, W, d**2)`` window buffers and
 each cell ``(channel, grid point)`` sums its trajectories in index order;
-blocks of ``BLOCK_SIZE`` trajectories are merged in index order.  The output
-bits therefore do not depend on the worker count, and the window width changes
-the order of no sum (BLOCK_SIZE and WINDOW_BYTES are constants, not options).
+blocks of ``BLOCK_SIZE`` trajectories are added in index order.  No sum's
+order depends on anything but the inputs; the window width changes none of
+them (BLOCK_SIZE and WINDOW_BYTES are constants, not options).
 
 Trajectory semantics: the conditional state evolves under the channel
 self-propagator between exponentially distributed transfer events; each
@@ -25,8 +25,6 @@ discretization).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -143,21 +141,15 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
     return ch_sum, sq_re, sq_im
 
 
-def run_blocks(kit, n: int, master_seed: int, workers: int = 1):
-    """Run ``n`` trajectories in fixed blocks and merge partials in order.
+def run_blocks(kit, n: int, master_seed: int):
+    """Run ``n`` trajectories in fixed blocks and add their partials in block order.
 
     Returns ``(ch_sum, ch_sq_re, ch_sq_im)`` shaped ``(K, T, d**2)``.
     """
-    bounds = [(lo, min(lo + BLOCK_SIZE, n)) for lo in range(0, n, BLOCK_SIZE)]
-    workers = min(workers, os.cpu_count() or 1, len(bounds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: _run_block(kit, *b, master_seed), bounds))
-    else:
-        partials = [_run_block(kit, lo, hi, master_seed) for lo, hi in bounds]
-
-    totals = [np.zeros_like(a) for a in partials[0]]
-    for partial in partials:
-        for total, part in zip(totals, partial):
+    shape = (kit.weights_cum.shape[0], kit.grid.shape[0], kit.rho0_vec.shape[0])
+    # Start from zeros, not from the first partial: 0 + -0.0 is +0.0.
+    totals = np.zeros(shape, complex), np.zeros(shape), np.zeros(shape)
+    for lo in range(0, n, BLOCK_SIZE):
+        for total, part in zip(totals, _run_block(kit, lo, min(lo + BLOCK_SIZE, n), master_seed)):
             total += part
-    return tuple(totals)
+    return totals

@@ -3,10 +3,10 @@
 Every trajectory draws from its own substream, a pure function of
 ``(master_seed, trajectory_index, draw_counter)`` built on the splitmix64
 finalizer.  This module is the one owner of the stream format: each function
-takes Python ints (the scalar reference path) or ``uint64`` arrays (the
-trajectory kernel, which draws for a whole block at once), and both give the
-same bits.  Because draws are stateless in the counter, results cannot depend
-on scheduling or worker count.
+takes Python ints or ``uint64`` arrays (the trajectory kernel, which draws for
+a whole block at once), and both give the same bits.  Because draws are
+stateless in the counter, results cannot depend on the order in which
+trajectories are advanced.
 """
 
 from __future__ import annotations
@@ -51,16 +51,3 @@ def draw_u64(key: int, counter: int) -> int:
 def to_unit(bits: int) -> float:
     """Map 64 random bits to a double strictly inside (0, 1)."""
     return ((bits >> 11) + 0.5) * 2.0**-53
-
-
-class CounterStream:
-    """Stateful view of one substream; used by the scalar reference path."""
-
-    def __init__(self, master_seed: int, index: int = 0):
-        self.key = stream_key(master_seed, index)
-        self.counter = 0
-
-    def uniform(self) -> float:
-        u = to_unit(draw_u64(self.key, self.counter))
-        self.counter += 1
-        return u

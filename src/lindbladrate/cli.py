@@ -2,8 +2,9 @@
 
 Subcommands: ``validate``, ``evolve``, ``traj``, ``kernel``, ``stationary``,
 ``example``.  Exit codes are stable for scripting: 0 success, 1 usage or
-configuration error, 2 complete-positivity validation failure, 3 engine
-failure (diagnostics on stderr).
+configuration error (an output file that cannot be written included), 2
+complete-positivity validation failure, 3 engine failure (diagnostics on
+stderr).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _cmd_validate(config: RunConfig, args) -> int:
 
 def _cmd_evolve(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
-    result = evolve(rate_model, config.initial_state, config.grid, rtol=config.rtol, psd_tol=config.psd_tol)
+    result = evolve(rate_model, config.initial_state, config.grid, psd_tol=config.psd_tol)
     emit_csv(deterministic_table(result), args.out or config.output)
     return 0
 
@@ -126,7 +127,7 @@ def _cmd_traj(config: RunConfig, args) -> int:
     if not n or seed is None:
         print("traj requires --n and --seed (or config fields)", file=sys.stderr)
         return 1
-    acc = run_ensemble(walk, config.initial_state, config.grid, n, seed, workers=config.workers)
+    acc = run_ensemble(walk, config.initial_state, config.grid, n, seed)
     emit_csv(stochastic_table(acc), args.out or config.output)
     return 0
 
@@ -174,7 +175,7 @@ def _cmd_example(config: RunConfig, args) -> int:
     rate_model, walk = dephasing_model(params)
     grid = config.grid
     closed = np.atleast_1d(h_of_t(params, grid))
-    result = evolve(rate_model, config.initial_state, grid, rtol=config.rtol)
+    result = evolve(rate_model, config.initial_state, grid)
     phi0 = config.initial_state[0, 1]
     if phi0 == 0:
         print("example requires an initial state with nonzero coherence", file=sys.stderr)
@@ -184,7 +185,7 @@ def _cmd_example(config: RunConfig, args) -> int:
     data = [grid, closed, engine_h, np.abs(engine_h - closed)]
     n, seed = args.n or config.trajectories, args.seed if args.seed is not None else config.seed
     if n and seed is not None:
-        acc = run_ensemble(walk, config.initial_state, grid, n, seed, workers=config.workers)
+        acc = run_ensemble(walk, config.initial_state, grid, n, seed)
         mc_h = (acc.system_estimate()[:, 0, 1] / phi0).real
         se_re, _ = acc.system_standard_error()
         columns += ["h_mc", "se_mc", "abs_mc_residual"]
@@ -219,6 +220,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](config, args)
+    except OSError as exc:  # only emit_csv touches files here
+        print(f"output error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except (RuntimeError, FloatingPointError, ZeroDivisionError, ValueError) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return 3

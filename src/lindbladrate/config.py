@@ -33,9 +33,45 @@ class ConfigError(ValueError):
 
 
 def _require(obj: dict, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(path, f"expected an object, got {obj!r}")
     if key not in obj:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return obj[key]
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    return value
+
+
+def _finite_number(value) -> float | None:
+    """``value`` as a float when it is a finite JSON number (not a bool), else ``None``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > sys.float_info.max:
+        return None
+    return float(value) if math.isfinite(value) else None
+
+
+def _real_vector(value, path: str) -> np.ndarray:
+    numbers = [_finite_number(x) for x in _list(value, path)]
+    if None in numbers:
+        raise ConfigError(path, f"expected a list of finite numbers, got {value!r}")
+    return np.array(numbers, dtype=float)
+
+
+def _index(value, size: int, path: str) -> int:
+    """A channel index: an integer in ``[0, size)``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < size:
+        raise ConfigError(path, f"must be an integer in [0, {size}), got {value!r}")
+    return value
+
+
+def _pair(value, size: int, path: str) -> int:
+    """A channel pair ``[R, R']`` as its flat index ``R * size + R'``."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(path, f"expected a channel pair [R, R'], got {value!r}")
+    return _index(value[0], size, f"{path}[0]") * size + _index(value[1], size, f"{path}[1]")
 
 
 def _complex_scalar(value, path: str) -> complex:
@@ -82,9 +118,7 @@ def _matrix(value, path: str) -> np.ndarray:
 
 
 def _matrix_list(value, path: str) -> list[np.ndarray]:
-    if not isinstance(value, list):
-        raise ConfigError(path, "expected a list of matrices")
-    return [_matrix(m, f"{path}[{i}]") for i, m in enumerate(value)]
+    return [_matrix(m, f"{path}[{i}]") for i, m in enumerate(_list(value, path))]
 
 
 @dataclass
@@ -124,45 +158,54 @@ class RunConfig:
     trajectories: int | None = None
     seed: int | None = None
     output: str | None = None
-    rtol: float = 1e-9
     psd_tol: float = 1e-8
     kernel_points: list[complex] = field(default_factory=list)
-    workers: int = 1
 
 
+_TOP_LEVEL_KEYS = ("model", "initial_state", "grid", "engine", "trajectories", "seed", "output", "tolerances", "kernel_u")
 _DEFAULT_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # +x projector
 
 
 def _parse_grid(section, path: str) -> np.ndarray:
-    if not isinstance(section, dict):
-        raise ConfigError(path, "expected an object with stop/count")
-    stop = _require(section, "stop", path)
+    stop = _finite_number(_require(section, "stop", path))
     count = _require(section, "count", path)
     spacing = section.get("spacing", "linear")
-    if not isinstance(stop, (int, float)) or stop <= 0:
-        raise ConfigError(f"{path}.stop", "must be a positive number")
-    if not isinstance(count, int) or count < 2:
+    if stop is None or stop <= 0:
+        raise ConfigError(f"{path}.stop", f"must be a finite number > 0, got {section['stop']!r}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 2:
         raise ConfigError(f"{path}.count", "must be an integer >= 2")
     if spacing == "linear":
-        return np.linspace(0.0, float(stop), count)
-    if spacing == "log":
+        grid = np.linspace(0.0, stop, count)
+    elif spacing == "log":
         decades = section.get("decades", 4)
-        inner = np.geomspace(float(stop) * 10.0 ** (-decades), float(stop), count - 1)
-        return np.concatenate([[0.0], inner])
-    raise ConfigError(f"{path}.spacing", f"must be 'linear' or 'log', got {spacing!r}")
+        exponent = _finite_number(decades)
+        if exponent is None or exponent <= 0 or stop * 10.0 ** -exponent == 0.0:
+            raise ConfigError(f"{path}.decades", f"must be a number > 0 with stop * 10**-decades > 0, got {decades!r}")
+        grid = np.concatenate([[0.0], np.geomspace(stop * 10.0 ** -exponent, stop, count - 1)])
+    else:
+        raise ConfigError(f"{path}.spacing", f"must be 'linear' or 'log', got {spacing!r}")
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(path, "stop, count and decades do not give strictly increasing grid points")
+    return grid
 
 
-def _parse_tolerances(section, path: str) -> tuple[float, float]:
-    """``(rtol, psd)``: each a finite number >= 0, with defaults 1e-9 and 1e-8."""
+def _check_keys(section, known: tuple[str, ...], path: str) -> None:
+    """Require an object with no key outside ``known``, where it would do nothing."""
     if not isinstance(section, dict):
-        raise ConfigError(path, f"expected an object with rtol/psd, got {section!r}")
-    values = []
-    for key, default in (("rtol", 1e-9), ("psd", 1e-8)):
-        value = section.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
-            raise ConfigError(f"{path}.{key}", f"must be a finite number >= 0, got {value!r}")
-        values.append(float(value))
-    return values[0], values[1]
+        raise ConfigError(path, f"expected an object, got {section!r}")
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", f"unknown field; known fields: {', '.join(known)}")
+
+
+def _parse_tolerances(section, path: str) -> float:
+    """The ``psd`` tolerance: a finite number >= 0, 1e-8 by default."""
+    _check_keys(section, ("psd",), path)
+    value = section.get("psd", 1e-8)
+    psd = _finite_number(value)
+    if psd is None or psd < 0:
+        raise ConfigError(f"{path}.psd", f"must be a finite number >= 0, got {value!r}")
+    return psd
 
 
 def _parse_basis(section, path: str) -> OperatorBasis:
@@ -174,14 +217,18 @@ def _parse_basis(section, path: str) -> OperatorBasis:
 
 def _parse_rate_model(section, path: str) -> LindbladRateModel:
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
-    weights = np.asarray(_require(section, "weights", path), dtype=float)
+    weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
         raise ConfigError(f"{path}.weights", f"weights must be nonnegative and sum to 1, got {weights.tolist()}")
-    diagonal = [_matrix(m, f"{path}.diagonal_blocks[{i}]") for i, m in enumerate(_require(section, "diagonal_blocks", path))]
+    k = weights.shape[0]
+    diagonal = _matrix_list(_require(section, "diagonal_blocks", path), f"{path}.diagonal_blocks")
+    if len(diagonal) != k:
+        raise ConfigError(f"{path}.diagonal_blocks", f"expected one block per channel ({k}), got {len(diagonal)}")
     offdiag = {}
-    for i, ent in enumerate(section.get("offdiagonal_blocks", [])):
+    for i, ent in enumerate(_list(section.get("offdiagonal_blocks", []), f"{path}.offdiagonal_blocks")):
         epath = f"{path}.offdiagonal_blocks[{i}]"
-        r, rp = _require(ent, "to", epath), _require(ent, "from", epath)
+        r = _index(_require(ent, "to", epath), k, f"{epath}.to")
+        rp = _index(_require(ent, "from", epath), k, f"{epath}.from")
         offdiag[(r, rp)] = _matrix(_require(ent, "block", epath), f"{epath}.block")
     hams = None
     if "hamiltonians" in section:
@@ -227,28 +274,30 @@ def _parse_model(section, path: str) -> ModelSource:
     if kind == "tripartite":
         basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
         k = _require(section, "channels", path)
-        raw = _require(section, "b", path)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ConfigError(f"{path}.channels", f"must be an integer >= 1, got {k!r}")
+        raw = _list(_require(section, "b", path), f"{path}.b")
         m = basis.size
         b = np.zeros((k * k, k * k, m, m), dtype=complex)
         for i, ent in enumerate(raw):
             epath = f"{path}.b[{i}]"
-            u, v = _require(ent, "u", epath), _require(ent, "v", epath)
-            b[u[0] * k + u[1], v[0] * k + v[1]] = _matrix(_require(ent, "block", epath), f"{epath}.block")
-        weights = np.asarray(section["weights"], dtype=float) if "weights" in section else None
+            u, v = (_pair(_require(ent, key, epath), k, f"{epath}.{key}") for key in ("u", "v"))
+            b[u, v] = _matrix(_require(ent, "block", epath), f"{epath}.block")
+        weights = _real_vector(section["weights"], f"{path}.weights") if "weights" in section else None
         try:
             return ModelSource("rate", {"rate": reduce_from_tripartite(b, k, basis, weights)})
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
     if kind == "correlations":
         basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
-        tau = np.asarray(_require(section, "tau", path), dtype=float)
-        chi = np.asarray(_require(section, "chi", path), dtype=complex)
+        tau = _real_vector(_require(section, "tau", path), f"{path}.tau")
+        chi = _require(section, "chi", path)  # nested number lists; build_from_correlations converts them
         h_sys = _matrix(_require(section, "system_hamiltonian", path), f"{path}.system_hamiltonian")
-        weights = np.asarray(_require(section, "weights", path), dtype=float)
+        weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
         try:
             blocks = build_from_correlations(chi, tau, h_sys, basis, section.get("quadrature", "simpson"))
             model = LindbladRateModel(basis, weights, blocks, None, h_sys)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(path, str(exc)) from exc
         return ModelSource("rate", {"rate": model})
     raise ConfigError(f"{path}.type", f"unknown model type {kind!r}")
@@ -260,8 +309,7 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("$", "top level must be an object")
+    _check_keys(raw, _TOP_LEVEL_KEYS, "$")
 
     model = _parse_model(_require(raw, "model", "$"), "$.model")
     grid = _parse_grid(_require(raw, "grid", "$"), "$.grid")
@@ -289,15 +337,13 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError("$.seed", str(exc)) from exc
 
-    rtol, psd_tol = _parse_tolerances(raw.get("tolerances", {}), "$.tolerances")
+    psd_tol = _parse_tolerances(raw.get("tolerances", {}), "$.tolerances")
 
-    kernel_u = raw.get("kernel_u", [])
-    if not isinstance(kernel_u, list):
-        raise ConfigError("$.kernel_u", f"expected a list of Laplace points, got {kernel_u!r}")
+    kernel_u = _list(raw.get("kernel_u", []), "$.kernel_u")
     kernel_points = [_complex_scalar(u, f"$.kernel_u[{i}]") for i, u in enumerate(kernel_u)]
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("$.workers", "must be an integer >= 1")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError("$.output", f"must be a file path string, got {output!r}")
 
     try:
         _check_density(state, model.dim, psd_tol)
@@ -310,11 +356,9 @@ def parse_config(text: str) -> RunConfig:
         grid=grid,
         trajectories=trajectories,
         seed=seed,
-        output=raw.get("output"),
-        rtol=rtol,
+        output=output,
         psd_tol=psd_tol,
         kernel_points=kernel_points,
-        workers=workers,
     )
 
 

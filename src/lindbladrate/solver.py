@@ -1,8 +1,8 @@
 """Deterministic evolution, stationary analysis and Laplace-domain kernels.
 
 The stacked generator G drives ``d|rho)/dt = G |rho)``.  Time evolution is
-either the exact exponential (eigenpropagation with an expm fallback) or an
-adaptive embedded Runge-Kutta.  Stationary structure comes from the spectral
+the exact exponential: eigenpropagation, or expm stepping when the generator
+is not reliably diagonalizable.  Stationary structure comes from the spectral
 projector onto the zero eigenvalue of G; the Laplace-domain objects are the
 channel-summed, weight-embedded resolvent ``R(u) = (1| (u - G)^{-1} |P)`` and
 the memory kernel ``L(u)`` solving ``R(u) L(u) = (1| (u-G)^{-1} M |P)`` where
@@ -45,7 +45,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Time integration failed (step-size underflow or tolerance failure)."""
+    """The stationary cross-check failed: non-decaying modes, or the spectral
+    state disagrees with the long-time exponential."""
 
 
 class DefectiveSpectrumError(RuntimeError):
@@ -186,50 +187,18 @@ def _propagate_exact(gen: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.n
     return out
 
 
-def _propagate_rk(gen: np.ndarray, y0: np.ndarray, times: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    """Adaptive DOP853 on the real embedding of the complex linear system."""
-    import scipy.integrate  # only this path needs it; importing it costs ~0.1 s of start-up
-
-    n = y0.shape[0]
-    big = np.block([[gen.real, -gen.imag], [gen.imag, gen.real]])
-    z0 = np.concatenate([y0.real, y0.imag])
-    sol = scipy.integrate.solve_ivp(
-        lambda _t, z: big @ z,
-        (times[0], times[-1]),
-        z0,
-        method="DOP853",
-        t_eval=times,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise SolverError(f"adaptive integration failed: {sol.message}")
-    return sol.y[:n].T + 1j * sol.y[n:].T
-
-
 def evolve(
     model: LindbladRateModel,
     rho0: np.ndarray,
     grid,
-    method: str = "exact",
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
     psd_tol: float = 1e-8,
 ) -> EvolutionResult:
-    """Evolve the stacked state over a time grid starting at 0.
-
-    ``method`` is ``"exact"`` (matrix exponential path) or ``"rk"``
-    (adaptive embedded Runge-Kutta at relative tolerance ``rtol``).
-    """
+    """Evolve the stacked state over a time grid starting at 0 with the exact
+    exponential (see :func:`_propagate_exact`)."""
     times = _grid_array(grid)
     gen = assemble_generator(model)
     y0 = initial_stacked_state(model, rho0, psd_tol).to_vector()
-    if method == "exact":
-        ys = _propagate_exact(gen.matrix, y0, times)
-    elif method == "rk":
-        ys = _propagate_rk(gen.matrix, y0, times, rtol, atol)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    ys = _propagate_exact(gen.matrix, y0, times)
     return _package_result(times, ys, gen.num_channels, gen.dim)
 
 

@@ -17,27 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
-from ._rng import CounterStream, check_seed
+from ._rng import check_seed
 from .linalg import hamiltonian_superop, hermiticity_residual, kraus_superop, trace_vector, vectorize
 from .model import LindbladRateModel, OperatorBasis, _check_density, dissipator_superop
 
 __all__ = [
     "StochasticModel",
-    "TrajectoryState",
-    "TrajectoryEvent",
     "EnsembleAccumulator",
     "convert_walk_to_rate_model",
-    "init_channel",
-    "sample_sojourn",
-    "select_next_channel",
-    "step_trajectory",
     "run_ensemble",
 ]
-
-NEVER_JUMPS = np.inf
 
 
 @dataclass
@@ -110,62 +101,6 @@ class StochasticModel:
 
 
 @dataclass
-class TrajectoryState:
-    channel: int
-    matrix: np.ndarray  # normalized conditional density matrix
-    time: float
-
-
-@dataclass
-class TrajectoryEvent:
-    kind: str  # "jump" or "horizon"
-    time: float
-    source: int
-    target: int | None
-
-
-def init_channel(weights, rng: CounterStream) -> int:
-    """Draw the starting channel by cumulative inversion of the weights."""
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    cum[-1] = 1.0
-    r = rng.uniform()
-    for k, bound in enumerate(cum):
-        if r <= bound:
-            return k
-    return cum.shape[0] - 1
-
-
-def sample_sojourn(channel: int, rates: np.ndarray, rng: CounterStream) -> float:
-    """Exponential sojourn time in ``channel``; infinite when it never escapes."""
-    gamma = float(np.sum(rates[:, channel]) - rates[channel, channel])
-    if gamma <= 0.0:
-        return NEVER_JUMPS
-    return -np.log(rng.uniform()) / gamma
-
-
-def select_next_channel(channel: int, rates: np.ndarray, rng: CounterStream) -> int:
-    """Destination draw with probabilities ``gamma[R', R] / Gamma_R``; never R itself."""
-    k = rates.shape[0]
-    gamma = float(np.sum(rates[:, channel]) - rates[channel, channel])
-    if gamma <= 0.0:
-        raise ValueError(f"channel {channel} has no escape rate")
-    u = rng.uniform()
-    cum = 0.0
-    last = -1
-    for dest in range(k):
-        if dest == channel:
-            continue
-        rate = rates[dest, channel]
-        if rate <= 0.0:
-            continue
-        cum += rate / gamma
-        last = dest
-        if u <= cum:
-            return dest
-    return last
-
-
-@dataclass
 class _TrajectoryKit:
     """Precomputed propagation data read by the trajectory kernel."""
 
@@ -225,37 +160,6 @@ def _build_kit(model: StochasticModel, rho0: np.ndarray, grid: np.ndarray) -> _T
     )
 
 
-def step_trajectory(state: TrajectoryState, model: StochasticModel, rng: CounterStream, horizon: float):
-    """Advance one trajectory by a single sojourn segment.
-
-    Propagates with the channel self-propagator until the sampled transfer
-    or the horizon, whichever comes first.  A transfer applies the source
-    channel's jump map, renormalizes the trace and switches channel.
-    Returns ``(new_state, events)``.
-    """
-    if not np.all(np.isfinite(state.matrix)):
-        raise FloatingPointError("non-finite trajectory state")
-    d = model.dim
-    gen = model.self_generator(state.channel)
-    dt_jump = sample_sojourn(state.channel, model.hop_rates, rng)
-    t_jump = state.time + dt_jump
-    if t_jump >= horizon:
-        prop = scipy.linalg.expm((horizon - state.time) * gen)
-        vec = prop @ vectorize(state.matrix)
-        mat = vec.reshape(d, d, order="F")
-        event = TrajectoryEvent("horizon", horizon, state.channel, None)
-        return TrajectoryState(state.channel, mat, horizon), [event]
-    prop = scipy.linalg.expm(dt_jump * gen)
-    vec = model.jump_superoperator(state.channel) @ (prop @ vectorize(state.matrix))
-    tr = np.trace(vec.reshape(d, d, order="F"))
-    if abs(tr - 1.0) > 1e-10:
-        raise FloatingPointError(f"trace drift {abs(tr - 1.0):.3e} beyond 1e-10 at jump")
-    vec = vec / tr
-    target = select_next_channel(state.channel, model.hop_rates, rng)
-    event = TrajectoryEvent("jump", t_jump, state.channel, target)
-    return TrajectoryState(target, vec.reshape(d, d, order="F"), t_jump), [event]
-
-
 @dataclass
 class EnsembleAccumulator:
     """Running sums (and squares) of occupancy-masked conditional states."""
@@ -312,14 +216,13 @@ def run_ensemble(
     grid,
     n: int,
     master_seed: int,
-    workers: int = 1,
 ) -> EnsembleAccumulator:
     """Average ``n`` independent trajectories over a time grid.
 
     Results are a pure function of ``(model, rho0, grid, n, master_seed)``:
     trajectory ``i`` consumes substream ``i`` of the master seed and partial
-    sums are merged in fixed block order, so the worker count cannot change
-    the output bits.  ``master_seed`` must be an integer in ``[0, 2**64)``.
+    sums are merged in fixed block order.  ``master_seed`` must be an integer
+    in ``[0, 2**64)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -329,7 +232,7 @@ def run_ensemble(
         raise ValueError("grid must be strictly increasing and start at 0")
     rho0 = _check_density(np.asarray(rho0, dtype=complex), model.dim, 1e-8)
     kit = _build_kit(model, rho0, times)
-    sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed, workers)
+    sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed)
     return EnsembleAccumulator(times, sums, sq_re, sq_im, n, model.dim)
 
 

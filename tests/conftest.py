@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from lindbladrate._rng import draw_u64, stream_key, to_unit
+from lindbladrate.linalg import vectorize
 from lindbladrate.model import LindbladRateModel, OperatorBasis
 from lindbladrate.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -55,6 +60,111 @@ def apply_rate_equation(model: LindbladRateModel, stacked: np.ndarray) -> np.nda
                     acc += a * (ops[alpha] @ stacked[rp] @ ops[gamma].conj().T)
         out[r] = acc
     return out
+
+
+# Scalar trajectory reference: one trajectory, one sojourn segment at a time,
+# written from the jump-process definition.  The lockstep kernel in
+# lindbladrate._kernels must reproduce it trajectory by trajectory.
+
+
+class CounterStream:
+    """Stateful view of one substream of the package's counter-based streams."""
+
+    def __init__(self, master_seed: int, index: int = 0):
+        self.key = stream_key(master_seed, index)
+        self.counter = 0
+
+    def uniform(self) -> float:
+        u = to_unit(draw_u64(self.key, self.counter))
+        self.counter += 1
+        return u
+
+
+@dataclass
+class TrajectoryState:
+    channel: int
+    matrix: np.ndarray  # normalized conditional density matrix
+    time: float
+
+
+@dataclass
+class TrajectoryEvent:
+    kind: str  # "jump" or "horizon"
+    time: float
+    source: int
+    target: int | None
+
+
+def init_channel(weights, rng: CounterStream) -> int:
+    """Draw the starting channel by cumulative inversion of the weights."""
+    cum = np.cumsum(np.asarray(weights, dtype=float))
+    cum[-1] = 1.0
+    r = rng.uniform()
+    for k, bound in enumerate(cum):
+        if r <= bound:
+            return k
+    return cum.shape[0] - 1
+
+
+def sample_sojourn(channel: int, rates: np.ndarray, rng: CounterStream) -> float:
+    """Exponential sojourn time in ``channel``; infinite when it never escapes."""
+    gamma = float(np.sum(rates[:, channel]) - rates[channel, channel])
+    if gamma <= 0.0:
+        return np.inf
+    return -np.log(rng.uniform()) / gamma
+
+
+def select_next_channel(channel: int, rates: np.ndarray, rng: CounterStream) -> int:
+    """Destination draw with probabilities ``gamma[R', R] / Gamma_R``; never R itself."""
+    k = rates.shape[0]
+    gamma = float(np.sum(rates[:, channel]) - rates[channel, channel])
+    if gamma <= 0.0:
+        raise ValueError(f"channel {channel} has no escape rate")
+    u = rng.uniform()
+    cum = 0.0
+    last = -1
+    for dest in range(k):
+        if dest == channel:
+            continue
+        rate = rates[dest, channel]
+        if rate <= 0.0:
+            continue
+        cum += rate / gamma
+        last = dest
+        if u <= cum:
+            return dest
+    return last
+
+
+def step_trajectory(state: TrajectoryState, model, rng: CounterStream, horizon: float):
+    """Advance one trajectory of a ``StochasticModel`` by a single sojourn segment.
+
+    Propagates with the channel self-propagator until the sampled transfer
+    or the horizon, whichever comes first.  A transfer applies the source
+    channel's jump map, renormalizes the trace and switches channel.
+    Returns ``(new_state, events)``.
+    """
+    if not np.all(np.isfinite(state.matrix)):
+        raise FloatingPointError("non-finite trajectory state")
+    d = model.dim
+    gen = model.self_generator(state.channel)
+    dt_jump = sample_sojourn(state.channel, model.hop_rates, rng)
+    t_jump = state.time + dt_jump
+    if t_jump >= horizon:
+        prop = scipy.linalg.expm((horizon - state.time) * gen)
+        vec = prop @ vectorize(state.matrix)
+        mat = vec.reshape(d, d, order="F")
+        event = TrajectoryEvent("horizon", horizon, state.channel, None)
+        return TrajectoryState(state.channel, mat, horizon), [event]
+    prop = scipy.linalg.expm(dt_jump * gen)
+    vec = model.jump_superoperator(state.channel) @ (prop @ vectorize(state.matrix))
+    tr = np.trace(vec.reshape(d, d, order="F"))
+    if abs(tr - 1.0) > 1e-10:
+        raise FloatingPointError(f"trace drift {abs(tr - 1.0):.3e} beyond 1e-10 at jump")
+    vec = vec / tr
+    target = select_next_channel(state.channel, model.hop_rates, rng)
+    event = TrajectoryEvent("jump", t_jump, state.channel, target)
+    return TrajectoryState(target, vec.reshape(d, d, order="F"), t_jump), [event]
 
 
 def lindblad_superop_oracle(h: np.ndarray, ops: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def read_csv(path):
 
 
 class TestParseConfig:
+    def test_readme_config_example_parses(self):
+        # the documented example must not advertise a field the parser refuses
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Config format", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = parse_config(example)
+        assert config.model.preset_name() == "fig2"
+        assert config.trajectories == 50000 and config.seed == 7
+
     def test_preset_with_grid(self):
         config = parse_config(json.dumps(BASE_CONFIG))
         assert config.model.preset_name() == "fig2"
@@ -262,6 +272,77 @@ class TestEmitCsv:
         assert peak < 4e6, peak
 
 
+_RATE_K2 = {
+    "type": "rate",
+    "basis": [[[1, 0], [0, -1]]],
+    "weights": [0.5, 0.5],
+    "diagonal_blocks": [[[0.1]], [[0.2]]],
+}
+_LOG_GRID = {"stop": 10.0, "count": 41, "spacing": "log"}
+BAD_FIELDS = {
+    "state-dim-mismatch": ({"initial_state": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "$.initial_state:"),
+    "psd-string": ({"tolerances": {"psd": "abc"}}, "$.tolerances.psd:"),
+    "tolerances-list": ({"tolerances": []}, "$.tolerances:"),
+    "rtol-null": ({"tolerances": {"rtol": None}}, "$.tolerances.rtol:"),
+    "psd-negative": ({"tolerances": {"psd": -1}}, "$.tolerances.psd:"),
+    "kernel-u-string": ({"kernel_u": "abc"}, "$.kernel_u: expected a list"),
+    "workers": ({"workers": 4}, "$.workers:"),
+    "rtol": ({"tolerances": {"rtol": 1e-9, "psd": 1e-8}}, "$.tolerances.rtol:"),
+    "misspelt-key": ({"initial_sate": [[1, 0], [0, 0]]}, "$.initial_sate:"),
+    "decades-string": ({"grid": dict(_LOG_GRID, decades="abc")}, "$.grid.decades:"),
+    "decades-400": ({"grid": dict(_LOG_GRID, decades=400)}, "$.grid.decades:"),
+    "stop-nan": ({"grid": {"stop": float("nan"), "count": 41}}, "$.grid.stop:"),
+    "stop-infinity": ({"grid": {"stop": float("inf"), "count": 41}}, "$.grid.stop:"),
+    "stop-true": ({"grid": {"stop": True, "count": 41}}, "$.grid.stop:"),
+    "rate-weights-string": ({"model": dict(_RATE_K2, weights="abc")}, "$.model.weights:"),
+    "correlations-tau-string": (
+        {"model": {"type": "correlations", "basis": [[[1, 0], [0, -1]]], "tau": "abc"}},
+        "$.model.tau:",
+    ),
+    "tripartite-channels-string": (
+        {"model": {"type": "tripartite", "basis": [[[1, 0], [0, -1]]], "channels": "x", "b": []}},
+        "$.model.channels:",
+    ),
+    "offdiagonal-to-string": (
+        {"model": dict(_RATE_K2, offdiagonal_blocks=[{"to": "a", "from": 0, "block": [[0.1]]}])},
+        "$.model.offdiagonal_blocks[0].to:",
+    ),
+    "offdiagonal-to-out-of-range": (
+        {"model": dict(_RATE_K2, offdiagonal_blocks=[{"to": 7, "from": 0, "block": [[0.1]]}])},
+        "$.model.offdiagonal_blocks[0].to:",
+    ),
+    "offdiagonal-entry-number": ({"model": dict(_RATE_K2, offdiagonal_blocks=[5])}, "$.model.offdiagonal_blocks[0]:"),
+    "diagonal-blocks-count": ({"model": dict(_RATE_K2, diagonal_blocks=[[[0.1]]])}, "$.model.diagonal_blocks:"),
+    "tripartite-pair-out-of-range": (
+        {
+            "model": {
+                "type": "tripartite",
+                "basis": [[[1, 0], [0, -1]]],
+                "channels": 2,
+                "b": [{"u": [0, 5], "v": [0, 1], "block": [[1.0]]}],
+            }
+        },
+        "$.model.b[0].u[1]:",
+    ),
+    "correlations-chi-string": (
+        {
+            "model": {
+                "type": "correlations",
+                "basis": [[[1, 0], [0, -1]]],
+                "tau": [0.0, 1.0, 2.0],
+                "chi": "abc",
+                "system_hamiltonian": [[0, 0], [0, 0]],
+                "weights": [1.0],
+            }
+        },
+        "$.model:",
+    ),
+    "grid-points-collapse": ({"grid": {"stop": 1e-321, "count": 1000}}, "$.grid:"),
+    "output-number": ({"output": 5}, "$.output:"),
+    "output-list": ({"output": ["a"]}, "$.output:"),
+}
+
+
 class TestCliCommands:
     def test_validate_preset_passes(self, capsys):
         assert main(["validate", "--preset", "fig2"]) == 0
@@ -353,15 +434,6 @@ class TestCliCommands:
         det_header, _ = read_csv(det)
         assert not any(c.startswith("se_") for c in det_header)
 
-    def test_traj_worker_count_does_not_change_output(self, tmp_path):
-        payload = dict(BASE_CONFIG, engine="stochastic", trajectories=2100, seed=13)
-        single = write_config(tmp_path, payload, "w1.json")
-        multi = write_config(tmp_path, dict(payload, workers=4), "w4.json")
-        out1, out4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        assert main(["traj", "--config", single, "--out", str(out1)]) == 0
-        assert main(["traj", "--config", multi, "--out", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
-
     def test_traj_bad_trajectories_without_engine_exit_1(self, tmp_path, capsys):
         # the field used to pass unchecked and escape from run_ensemble as a TypeError
         cfg = write_config(tmp_path, dict(BASE_CONFIG, trajectories="abc", seed=1))
@@ -413,25 +485,26 @@ class TestCliCommands:
         assert main(["evolve", "--config", cfg]) == 1
         assert "$.initial_state" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "extra, field",
-        [
-            ({"initial_state": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "$.initial_state:"),
-            ({"tolerances": {"psd": "abc"}}, "$.tolerances.psd:"),
-            ({"tolerances": []}, "$.tolerances:"),
-            ({"tolerances": {"rtol": None}}, "$.tolerances.rtol:"),
-            ({"tolerances": {"psd": -1}}, "$.tolerances.psd:"),
-            ({"kernel_u": "abc"}, "$.kernel_u: expected a list"),
-        ],
-        ids=["state-dim-mismatch", "psd-string", "tolerances-list", "rtol-null", "psd-negative", "kernel-u-string"],
-    )
+    @pytest.mark.parametrize("extra, field", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
     def test_bad_config_field_exit_1_naming_it(self, tmp_path, capsys, extra, field):
         # a 3x3 state on the qubit preset used to exit 3 from a matmul, the
-        # tolerance cases ended in tracebacks or blamed $.initial_state, and
-        # a kernel_u string was walked as if it were a list
+        # tolerance, grid, model and output cases ended in tracebacks, exit 3
+        # or silent acceptance, a kernel_u string was walked as if it were a
+        # list, and unknown keys (workers, rtol, misspellings) did nothing
         cfg = write_config(tmp_path, dict(BASE_CONFIG, **extra))
         assert main(["stationary", "--config", cfg]) == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exit_1_naming_it(self, tmp_path, capsys):
+        # used to end in a FileNotFoundError traceback
+        target = str(tmp_path / "missing-dir" / "x.csv")
+        assert main(["evolve", "--preset", "fig2", "--out", target]) == 1
+        assert target in capsys.readouterr().err
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, trajectories=10, seed=1, output=target))
+        assert main(["traj", "--config", cfg]) == 1
+        assert target in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv", [["kernel", "--u", "1.5,2,2.5,3,4,6"], ["stationary"]], ids=["kernel-6-points", "stationary"]
@@ -569,7 +642,7 @@ class TestModelSources:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only method="rk" and Simpson quadrature need it, and it is ~0.1 s of start-up
+    # only Simpson quadrature needs it, and it is ~0.1 s of start-up
     code = "import sys, lindbladrate.cli; print('scipy.integrate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindbladrate.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)

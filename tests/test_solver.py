@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from lindbladrate.linalg import hamiltonian_superop, vectorize
@@ -21,6 +22,7 @@ from lindbladrate.qubit import (
     h_of_u,
     preset_params,
 )
+from lindbladrate import solver
 from lindbladrate.solver import (
     DefectiveSpectrumError,
     SingularSolveError,
@@ -34,7 +36,7 @@ from lindbladrate.solver import (
     system_state,
 )
 
-from conftest import random_density, random_rate_model
+from conftest import apply_rate_equation, random_density, random_rate_model
 
 RHO_PLUS_X = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -84,10 +86,41 @@ class TestEvolve:
         ]
         grid = np.linspace(0, 8, 33)
         for model in cases:
+            # DOP853 on the elementwise equations of motion: shares no code with evolve
+            shape = (model.num_channels, model.dim, model.dim)
             rho0 = random_density(rng, 2)
-            exact = evolve(model, rho0, grid, method="exact")
-            rk = evolve(model, rho0, grid, method="rk", rtol=1e-9)
-            assert np.abs(exact.system - rk.system).max() < 1e-7
+            exact = evolve(model, rho0, grid)
+            sol = scipy.integrate.solve_ivp(
+                lambda _t, y: apply_rate_equation(model, y.reshape(shape)).ravel(),
+                (grid[0], grid[-1]),
+                np.stack([w * rho0 for w in model.weights]).ravel(),
+                method="DOP853",
+                t_eval=grid,
+                rtol=1e-10,
+                atol=1e-12,
+            )
+            assert sol.success
+            rk_system = sol.y.T.reshape(-1, *shape).sum(axis=1)
+            assert np.abs(exact.system - rk_system).max() < 1e-7
+
+    def test_expm_fallback_steps_once_per_new_grid_time(self, monkeypatch):
+        # Jordan blocks leave no reliable eigenbasis, so the exact path steps
+        # with expm; a diagonalizable generator never calls it
+        expm = scipy.linalg.expm
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+        jordan = scipy.linalg.block_diag([[-1.0, 1.0], [0.0, -1.0]], [[-2.0, 1.0], [0.0, -2.0]]).astype(complex)
+        y0 = np.array([0.3, 0.7, -0.2, 0.4 + 0.1j])
+        grid = np.linspace(0, 5, 11)
+        ys = solver._propagate_exact(jordan, y0, grid)
+        assert len(calls) == grid.size - 1
+        for t, y in zip(grid, ys):
+            np.testing.assert_allclose(y, expm(t * jordan) @ y0, rtol=0, atol=1e-15)
+        calls.clear()
+        diagonalizable = np.diag([0.0, -1.0, -2.0 + 1.0j, -2.0 - 1.0j])
+        ys = solver._propagate_exact(diagonalizable, y0, grid)
+        assert calls == []
+        np.testing.assert_allclose(ys, y0 * np.exp(np.multiply.outer(grid, np.diag(diagonalizable))), atol=1e-15)
 
     def test_conservation_diagnostics(self, rng):
         model = random_rate_model(rng, d=2, k=3)

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.stats
 
 from lindbladrate import _kernels
-from lindbladrate._rng import CounterStream, draw_u64, mix64, stream_key, to_unit
+from lindbladrate._rng import draw_u64, mix64, stream_key, to_unit
 from lindbladrate.linalg import kraus_superop, vectorize
 from lindbladrate.model import OperatorBasis, assemble_generator
 from lindbladrate.qubit import (
@@ -16,13 +16,12 @@ from lindbladrate.qubit import (
     preset_params,
 )
 from lindbladrate.solver import evolve
-from lindbladrate.stochastic import (
-    StochasticModel,
+from lindbladrate.stochastic import StochasticModel, _build_kit, convert_walk_to_rate_model, run_ensemble
+
+from conftest import (
+    CounterStream,
     TrajectoryState,
-    _build_kit,
-    convert_walk_to_rate_model,
     init_channel,
-    run_ensemble,
     sample_sojourn,
     select_next_channel,
     step_trajectory,
@@ -297,12 +296,21 @@ class TestRunEnsemble:
                     others = np.delete(own[:, g], channels[g], axis=0)
                     assert np.abs(others).max(initial=0.0) < 1e-12
 
-    def test_numpy_workers_bit_identical(self):
+    def test_block_order_fixes_the_bits(self):
+        # three blocks, the last one short: the totals are the block partials
+        # added to zeros in block order, signs of zero included
         _, walk = dephasing_model(preset_params("fig2"))
-        grid = np.linspace(0.0, 10.0, 21)
-        acc = run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, workers=1)
-        for workers in (2, 5):
-            assert_same_sums(acc, run_ensemble(walk, RHO_PLUS_X, grid, 3000, 11, workers=workers))
+        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 10.0, 21))
+        size = _kernels.BLOCK_SIZE
+        n = 3 * size - 5
+        partials = [_kernels._run_block(kit, lo, min(lo + size, n), 11) for lo in range(0, n, size)]
+        expected = [np.zeros_like(a) for a in partials[0]]
+        for partial in partials:
+            for total, part in zip(expected, partial):
+                total += part
+        for got, want in zip(_kernels.run_blocks(kit, n, 11), expected):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
     @WALKS
     def test_window_size_does_not_change_bits(self, monkeypatch, walk, rho0):
@@ -333,33 +341,6 @@ class TestRunEnsemble:
         kit.jump_ops = 2.0 * kit.jump_ops
         with pytest.raises(FloatingPointError, match=r"trajectory \d+: .*trace drift"):
             _kernels.run_blocks(kit, 50, 3)
-
-    def test_thread_pool_bounded(self, monkeypatch):
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 3)
-        _, walk = dephasing_model(preset_params("fig2"))
-        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 1.0, 3))
-        n = 5 * _kernels.BLOCK_SIZE
-        _kernels.run_blocks(kit, n, 1, workers=64)  # capped by the CPU count
-        _kernels.run_blocks(kit, 2 * _kernels.BLOCK_SIZE, 1, workers=64)  # by the block count
-        _kernels.run_blocks(kit, n, 1, workers=2)
-        _kernels.run_blocks(kit, _kernels.BLOCK_SIZE, 1, workers=64)  # one block: no pool
-        assert seen == [3, 2, 2]
 
     @pytest.mark.parametrize("seed", [-3, 2**64, 2**64 + 5, True, 1.5, "7"])
     def test_seed_outside_range_rejected(self, seed):
