@@ -15,6 +15,7 @@ from .linalg import (
     devectorize,
     hamiltonian_superop,
     kraus_superop,
+    min_eigenvalue,
     psd_check,
     sandwich_superop,
     vectorize,
@@ -25,14 +26,14 @@ from .model import (
     ModelStructureError,
     OperatorBasis,
     StackedGenerator,
-    StackedState,
     ValidationReport,
     assemble_generator,
     build_from_correlations,
     channel_generator,
     decompose_random_lindblad,
-    initial_stacked_state,
+    embed_channels,
     reduce_from_tripartite,
+    sum_channels,
     validate_model,
 )
 from .qubit import (

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import check_seed
+from .linalg import min_eigenvalue
 from .model import LindbladRateModel, OperatorBasis, _check_density, build_from_correlations, reduce_from_tripartite
 from .qubit import PRESETS, dephasing_model
 from .stochastic import StochasticModel, convert_walk_to_rate_model
@@ -167,6 +168,7 @@ _DEFAULT_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # +x project
 
 
 def _parse_grid(section, path: str) -> np.ndarray:
+    _check_keys(section, ("stop", "count", "spacing", "decades"), path)
     stop = _finite_number(_require(section, "stop", path))
     count = _require(section, "count", path)
     spacing = section.get("spacing", "linear")
@@ -227,6 +229,7 @@ def _parse_rate_model(section, path: str) -> LindbladRateModel:
     offdiag = {}
     for i, ent in enumerate(_list(section.get("offdiagonal_blocks", []), f"{path}.offdiagonal_blocks")):
         epath = f"{path}.offdiagonal_blocks[{i}]"
+        _check_keys(ent, ("to", "from", "block"), epath)
         r = _index(_require(ent, "to", epath), k, f"{epath}.to")
         rp = _index(_require(ent, "from", epath), k, f"{epath}.from")
         offdiag[(r, rp)] = _matrix(_require(ent, "block", epath), f"{epath}.block")
@@ -242,26 +245,34 @@ def _parse_rate_model(section, path: str) -> LindbladRateModel:
 
 def _parse_walk_model(section, path: str) -> StochasticModel:
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
-    kraus = [
-        _matrix_list(ops, f"{path}.jump_kraus[{i}]") for i, ops in enumerate(_require(section, "jump_kraus", path))
-    ]
+    hamiltonian = _matrix(_require(section, "hamiltonian", path), f"{path}.hamiltonian")
+    dissipators = _matrix_list(_require(section, "channel_dissipators", path), f"{path}.channel_dissipators")
+    hop_rows = _list(_require(section, "hop_rates", path), f"{path}.hop_rates")
+    hop_rates = [_real_vector(row, f"{path}.hop_rates[{i}]") for i, row in enumerate(hop_rows)]
+    kraus_sets = _list(_require(section, "jump_kraus", path), f"{path}.jump_kraus")
+    kraus = [_matrix_list(ops, f"{path}.jump_kraus[{i}]") for i, ops in enumerate(kraus_sets)]
+    weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
     try:
-        return StochasticModel(
-            basis=basis,
-            hamiltonian=_matrix(_require(section, "hamiltonian", path), f"{path}.hamiltonian"),
-            dissipator_blocks=np.array(_matrix_list(_require(section, "channel_dissipators", path), f"{path}.channel_dissipators")),
-            hop_rates=np.asarray(_require(section, "hop_rates", path), dtype=float),
-            kraus_maps=kraus,
-            weights=np.asarray(_require(section, "weights", path), dtype=float),
-        )
+        return StochasticModel(basis, hamiltonian, dissipators, hop_rates, kraus, weights)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
+# The keys of each model type besides ``type``.
+_MODEL_KEYS = {
+    "preset": ("name",),
+    "rate": ("basis", "weights", "diagonal_blocks", "offdiagonal_blocks", "hamiltonians", "system_hamiltonian"),
+    "walk": ("basis", "hamiltonian", "channel_dissipators", "hop_rates", "jump_kraus", "weights"),
+    "tripartite": ("basis", "channels", "b", "weights"),
+    "correlations": ("basis", "tau", "chi", "system_hamiltonian", "weights", "quadrature"),
+}
+
+
 def _parse_model(section, path: str) -> ModelSource:
-    if not isinstance(section, dict):
-        raise ConfigError(path, "expected an object")
     kind = _require(section, "type", path)
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ConfigError(f"{path}.type", f"unknown model type {kind!r}")
+    _check_keys(section, ("type", *_MODEL_KEYS[kind]), path)
     if kind == "preset":
         name = _require(section, "name", path)
         if name not in PRESETS:
@@ -281,6 +292,7 @@ def _parse_model(section, path: str) -> ModelSource:
         b = np.zeros((k * k, k * k, m, m), dtype=complex)
         for i, ent in enumerate(raw):
             epath = f"{path}.b[{i}]"
+            _check_keys(ent, ("u", "v", "block"), epath)
             u, v = (_pair(_require(ent, key, epath), k, f"{epath}.{key}") for key in ("u", "v"))
             b[u, v] = _matrix(_require(ent, "block", epath), f"{epath}.block")
         weights = _real_vector(section["weights"], f"{path}.weights") if "weights" in section else None
@@ -300,7 +312,6 @@ def _parse_model(section, path: str) -> ModelSource:
         except (TypeError, ValueError) as exc:
             raise ConfigError(path, str(exc)) from exc
         return ModelSource("rate", {"rate": model})
-    raise ConfigError(f"{path}.type", f"unknown model type {kind!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -421,44 +432,28 @@ def _observable_values(states: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _state_table(times, system, channel_traces, min_eig, se=None) -> OutputTable:
+    """One row per grid time: ``t``, the observables of ``system``, the
+    channel traces and ``min_eig``.  ``se`` packs standard errors as
+    ``se_re + 1j * se_im``, so the observable map that reads ``system``
+    reads the matching ``se_*`` columns from it."""
+    obs_cols = _observable_columns(system.shape[-1])
+    columns = ["t"] + obs_cols + [f"trace_ch{r}" for r in range(channel_traces.shape[1])] + ["min_eig"]
+    parts = [times[:, None], _observable_values(system), channel_traces, min_eig[:, None]]
+    if se is not None:
+        columns += [f"se_{c}" for c in obs_cols]
+        parts.append(_observable_values(se))
+    return OutputTable(columns, np.concatenate(parts, axis=1))
+
+
 def deterministic_table(result) -> OutputTable:
     """Table for an :class:`~lindbladrate.solver.EvolutionResult`."""
-    d, k = result.dim, result.num_channels
-    columns = ["t"] + _observable_columns(d) + [f"trace_ch{r}" for r in range(k)] + ["min_eig"]
-    data = np.concatenate(
-        [
-            result.times[:, None],
-            _observable_values(result.system),
-            result.channel_traces(),
-            result.min_eigenvalue[:, None],
-        ],
-        axis=1,
-    )
-    return OutputTable(columns, data)
+    return _state_table(result.times, result.system, result.channel_traces(), result.min_eigenvalue)
 
 
 def stochastic_table(acc) -> OutputTable:
     """Table for an :class:`~lindbladrate.stochastic.EnsembleAccumulator`,
     with a standard-error column per observable."""
-    d, k = acc.dim, acc.num_channels
     system = acc.system_estimate()
     se_re, se_im = acc.system_standard_error()
-    min_eig = np.linalg.eigvalsh(0.5 * (system + system.conj().transpose(0, 2, 1)))[:, 0]
-    obs_cols = _observable_columns(d)
-    columns = ["t"] + obs_cols + [f"trace_ch{r}" for r in range(k)] + ["min_eig"]
-    columns += [f"se_{c}" for c in obs_cols]
-    se_vals = [se_re[:, i, i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            se_vals += [se_re[:, i, j], se_im[:, i, j]]
-    data = np.concatenate(
-        [
-            acc.grid[:, None],
-            _observable_values(system),
-            acc.channel_occupation(),
-            min_eig[:, None],
-            np.stack(se_vals, axis=1),
-        ],
-        axis=1,
-    )
-    return OutputTable(columns, data)
+    return _state_table(acc.grid, system, acc.channel_occupation(), min_eigenvalue(system), se_re + 1j * se_im)

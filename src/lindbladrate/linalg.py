@@ -2,12 +2,15 @@
 
 Everything in this package uses a single vectorization convention:
 column stacking, ``vec(X)[i + d*j] = X[i, j]``, which gives the
-Kronecker identity ``vec(A X B) = (B.T kron A) vec(X)``.  Superoperators
+Kronecker identity ``vec(A X B) = (B.T kron A) vec(X)``.  :func:`vectorize`
+and :func:`devectorize` are its one encoder and decoder.  Superoperators
 are ``d**2 x d**2`` complex matrices acting on vectorized densities
 (``K*d**2`` when several channels are stacked channel-major).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,6 +24,7 @@ __all__ = [
     "hamiltonian_superop",
     "anticommutator_superop",
     "hermiticity_residual",
+    "min_eigenvalue",
     "psd_check",
     "choi_matrix",
 ]
@@ -36,18 +40,24 @@ def _square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def vectorize(matrix: np.ndarray) -> np.ndarray:
-    """Column-stack a square matrix into a length ``d**2`` vector."""
-    m = _square(matrix)
-    return m.reshape(-1, order="F")
+    """Column-stack square matrices, ``(..., d, d) -> (..., d**2)`` complex;
+    leading axes are batch axes."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
 
 
 def devectorize(vector: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`; the roundtrip is bit-exact."""
-    v = np.asarray(vector, dtype=complex).ravel()
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F")
+    """Inverse of :func:`vectorize`, ``(..., d**2) -> (..., d, d)``; keeps
+    the dtype, and the roundtrip is bit-exact."""
+    v = np.atleast_1d(vector)
+    d = math.isqrt(v.shape[-1])
+    if d * d != v.shape[-1]:
+        raise ValueError(f"vector length {v.shape[-1]} is not a perfect square")
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def trace_vector(dim: int, channels: int = 1) -> np.ndarray:
@@ -74,8 +84,7 @@ def coefficient_superop(ops, coeffs) -> np.ndarray:
     ``ops`` is ``(m, d, d)`` and ``coeffs`` is ``(..., m, m)``; leading axes
     of ``coeffs`` give a stack of superoperators.
     """
-    ops = np.asarray(ops, dtype=complex)
-    w = ops.transpose(0, 2, 1).reshape(ops.shape[0], -1).T
+    w = vectorize(ops).T
     return choi_matrix(w @ np.asarray(coeffs, dtype=complex) @ w.conj().T)
 
 
@@ -116,17 +125,22 @@ def _require_hermitian(matrix: np.ndarray, tol: float, name: str) -> np.ndarray:
     return m
 
 
+def min_eigenvalue(matrix: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part ``(M + M^dag) / 2`` of each
+    matrix in ``(..., d, d)``; shape ``(...)``."""
+    m = np.asarray(matrix, dtype=complex)
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., 0]
+
+
 def psd_check(matrix: np.ndarray, tol: float = 1e-8):
     """Test positive semidefiniteness of a Hermitian matrix.
 
-    Returns ``(is_psd, min_eig)``.  The input is symmetrized before the
-    eigenvalue computation (only here; nowhere else in the package), and
-    ``is_psd`` means ``min_eig >= -tol * max(1, |M|)``.
+    Returns ``(is_psd, min_eig)``, with ``min_eig`` from
+    :func:`min_eigenvalue`; ``is_psd`` means
+    ``min_eig >= -tol * max(1, |M|)``.
     """
     m = _require_hermitian(matrix, 1e-10, "matrix")
-    sym = 0.5 * (m + m.conj().T)
-    eigs = np.linalg.eigvalsh(sym)
-    min_eig = float(eigs[0])
+    min_eig = float(min_eigenvalue(m))
     return min_eig >= -tol * max(1.0, np.linalg.norm(m)), min_eig
 
 

@@ -6,7 +6,9 @@ channel pairs carry off-diagonal blocks ``a[R, R']`` feeding channel ``R``
 from channel ``R'``.  All blocks are ``m x m`` in the indices of a shared
 operator basis ``{V_alpha}`` and must be Hermitian and PSD for the solution
 map to be completely positive.  The stacked generator acts on the
-channel-major vector ``(vec rho_0, ..., vec rho_{K-1})``; its block ``(R, R)``
+channel-major vector ``(vec rho_0, ..., vec rho_{K-1})``, which
+:func:`embed_channels` (the weighted embedding ``|P)``) builds and
+:func:`sum_channels` (the channel sum ``(1|``) reduces; its block ``(R, R)``
 is ``-i[H_R, .] - {D_R, .} + F_R[.] - sum_{R''!=R} {D(R''<-R), .}`` and its
 block ``(R, R')`` is the sandwich part ``F(R<-R')[.]``, with
 
@@ -28,22 +30,22 @@ from .linalg import (
     coefficient_superop,
     hamiltonian_superop,
     hermiticity_residual,
+    min_eigenvalue,
     psd_check,
-    vectorize,
 )
 
 __all__ = [
     "OperatorBasis",
     "LindbladRateModel",
     "StackedGenerator",
-    "StackedState",
     "BlockReport",
     "ValidationReport",
     "ModelStructureError",
     "MarkovDecayError",
     "validate_model",
     "assemble_generator",
-    "initial_stacked_state",
+    "embed_channels",
+    "sum_channels",
     "reduce_from_tripartite",
     "build_from_correlations",
     "decompose_random_lindblad",
@@ -192,38 +194,6 @@ class StackedGenerator:
 
 
 @dataclass
-class StackedState:
-    """Ordered collection of auxiliary matrices; the physical state is their sum.
-
-    Leading axes of ``matrices`` before the channel axis index a batch of
-    stacked states (e.g. one per grid time).
-    """
-
-    matrices: np.ndarray  # (..., K, d, d)
-
-    @property
-    def num_channels(self) -> int:
-        return self.matrices.shape[-3]
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[-1]
-
-    @property
-    def system(self) -> np.ndarray:
-        return self.matrices.sum(axis=-3)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([vectorize(m) for m in self.matrices])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, num_channels: int, dim: int) -> "StackedState":
-        """Decode channel-major stacked vectors ``(..., K d**2)``."""
-        vec = np.asarray(vec, dtype=complex)
-        return cls(vec.reshape(*vec.shape[:-1], num_channels, dim, dim).swapaxes(-1, -2))
-
-
-@dataclass
 class BlockReport:
     tag: tuple[int, int]
     hermiticity_residual: float
@@ -257,8 +227,7 @@ def validate_model(model: LindbladRateModel, psd_tol: float = 1e-8, herm_tol: fl
         block = model.blocks[tag]
         res = hermiticity_residual(block)
         if res > herm_tol:
-            sym_min = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
-            reports.append(BlockReport(tag, res, sym_min, False))
+            reports.append(BlockReport(tag, res, float(min_eigenvalue(block)), False))
             all_psd = False
             continue
         ok, min_eig = psd_check(block, psd_tol)
@@ -322,6 +291,32 @@ def assemble_generator(model: LindbladRateModel, validate: bool = True) -> Stack
     return StackedGenerator(gen, k, d, model.weights.copy())
 
 
+def embed_channels(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The weighted embedding ``|P)``: ``(n, ...) -> (K n, ...)``, channel
+    ``R`` holding ``P_R x`` (the channel-major layout of the generator)."""
+    x = np.asarray(x)
+    w = np.asarray(weights).reshape(-1, *([1] * x.ndim))
+    return (w * x).reshape(-1, *x.shape[1:])
+
+
+def sum_channels(y: np.ndarray, k: int) -> np.ndarray:
+    """The channel sum ``(1|``: ``(K n, ...) -> (n, ...)``, adding the ``K``
+    channel blocks in channel order."""
+    y = np.asarray(y)
+    return y.reshape(k, -1, *y.shape[1:]).sum(axis=0)
+
+
+def _grid_array(grid) -> np.ndarray:
+    t = np.asarray(grid, dtype=float)
+    if t.ndim != 1 or t.shape[0] < 1:
+        raise ValueError("grid must be a 1-d array of times")
+    if t[0] != 0.0:
+        raise ValueError("grid must start at t = 0")
+    if t.shape[0] > 1 and np.any(np.diff(t) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    return t
+
+
 def _check_density(rho: np.ndarray, dim: int, psd_tol: float) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
@@ -331,16 +326,10 @@ def _check_density(rho: np.ndarray, dim: int, psd_tol: float) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"initial state trace {tr} is not 1")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    min_eig = float(min_eigenvalue(rho))
     if min_eig < -psd_tol:
         raise ValueError(f"initial state has negative eigenvalue {min_eig:.3e}")
     return rho
-
-
-def initial_stacked_state(model: LindbladRateModel, rho0: np.ndarray, psd_tol: float = 1e-8) -> StackedState:
-    """Weighted embedding of an initial density matrix, one slot per channel."""
-    rho0 = _check_density(rho0, model.dim, psd_tol)
-    return StackedState(np.stack([p * rho0 for p in model.weights]))
 
 
 def reduce_from_tripartite(

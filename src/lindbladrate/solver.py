@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import hamiltonian_superop
+from .linalg import devectorize, hamiltonian_superop, min_eigenvalue, vectorize
 from .model import (
     LindbladRateModel,
     StackedGenerator,
-    StackedState,
     _check_density,
+    _grid_array,
     assemble_generator,
-    initial_stacked_state,
+    embed_channels,
+    sum_channels,
 )
 
 __all__ = [
@@ -151,17 +152,6 @@ def _as_analysis(model_or_analysis) -> StationaryProjector:
     return stationary_projector(model_or_analysis)
 
 
-def _grid_array(grid) -> np.ndarray:
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.shape[0] < 1:
-        raise ValueError("grid must be a 1-d array of times")
-    if t[0] != 0.0:
-        raise ValueError("grid must start at t = 0")
-    if t.shape[0] > 1 and np.any(np.diff(t) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    return t
-
-
 def _propagate_exact(gen: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States at all grid times via eigenpropagation, expm stepping as fallback."""
     scale = max(1.0, np.linalg.norm(gen))
@@ -197,19 +187,18 @@ def evolve(
     exponential (see :func:`_propagate_exact`)."""
     times = _grid_array(grid)
     gen = assemble_generator(model)
-    y0 = initial_stacked_state(model, rho0, psd_tol).to_vector()
+    y0 = embed_channels(model.weights, vectorize(_check_density(rho0, model.dim, psd_tol)))
     ys = _propagate_exact(gen.matrix, y0, times)
-    return _package_result(times, ys, gen.num_channels, gen.dim)
+    return _package_result(times, ys, gen.num_channels)
 
 
-def _package_result(times: np.ndarray, ys: np.ndarray, k: int, d: int) -> EvolutionResult:
-    state = StackedState.from_vector(ys, k, d)
-    stacked, system = state.matrices, state.system
-    system_h = system.conj().transpose(0, 2, 1)
+def _package_result(times: np.ndarray, ys: np.ndarray, k: int) -> EvolutionResult:
+    """Decode the stacked states ``ys`` ``(T, K d**2)`` with their diagnostics."""
+    stacked = devectorize(ys.reshape(times.shape[0], k, -1))
+    system = devectorize(sum_channels(ys.T, k).T)
     trace_res = np.abs(np.einsum("tii->t", system) - 1.0)
-    herm_res = np.linalg.norm(system - system_h, axis=(1, 2))
-    min_eig = np.linalg.eigvalsh(0.5 * (system + system_h))[:, 0]
-    return EvolutionResult(times, stacked, system, trace_res, herm_res, min_eig)
+    herm_res = np.linalg.norm(system - system.conj().transpose(0, 2, 1), axis=(1, 2))
+    return EvolutionResult(times, stacked, system, trace_res, herm_res, min_eigenvalue(system))
 
 
 def system_state(result: EvolutionResult, t: float) -> np.ndarray:
@@ -218,15 +207,6 @@ def system_state(result: EvolutionResult, t: float) -> np.ndarray:
     if hits.size == 0:
         raise ValueError(f"t = {t} is not on the evolution grid")
     return result.system[hits[0]]
-
-
-def _embed_columns(weights: np.ndarray, dim: int) -> np.ndarray:
-    """Matrix of the weighted embedding ``vec(rho) -> (P_R vec(rho))_R``."""
-    return np.kron(weights.reshape(-1, 1), np.eye(dim * dim))
-
-
-def _sum_channels(stacked_cols: np.ndarray, k: int, n: int) -> np.ndarray:
-    return stacked_cols.reshape(k, n, -1).sum(axis=0)
 
 
 def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> StationaryProjector:
@@ -269,13 +249,13 @@ def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> Stationa
         if np.linalg.norm(g @ proj) > 1e-8 * scale:
             raise DefectiveSpectrumError("projector does not annihilate the generator")
     k = gen.num_channels
-    embed = _embed_columns(gen.weights, gen.dim)
-    reduced = _sum_channels(proj @ embed, k, n)
+    embed = embed_channels(gen.weights, np.eye(n))
+    reduced = sum_channels(proj @ embed, k)
     memory_embed = stationary_memory = None
     if isinstance(model_or_generator, LindbladRateModel):
         memory = g - np.kron(np.eye(k), hamiltonian_superop(model_or_generator.system_hamiltonian))
         memory_embed = memory @ embed
-        stationary_memory = _sum_channels(proj @ memory_embed, k, n)
+        stationary_memory = sum_channels(proj @ memory_embed, k)
     eigenvalues = np.diag(tmat).copy()
     return StationaryProjector(proj, reduced, sdim, gen, eigenvalues, scale, embed, memory_embed, stationary_memory)
 
@@ -311,19 +291,23 @@ def homogeneity_check(model_or_analysis, tol: float = 1e-9) -> HomogeneityReport
     return HomogeneityReport(holds, coh_norm, sectors, largest, mat)
 
 
+def _reduced_solves(gen: StackedGenerator, u: complex, *rhs: np.ndarray) -> list[np.ndarray]:
+    """``(1| (u - G)^{-1} B`` for each stacked right-hand side ``B``, all from
+    one LU factorization of ``u - G``."""
+    try:
+        lu = scipy.linalg.lu_factor(u * np.eye(gen.matrix.shape[0]) - gen.matrix)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSolveError(f"resolvent solve singular at u = {u}") from exc
+    cols = [scipy.linalg.lu_solve(lu, b) for b in rhs]
+    if not all(np.all(np.isfinite(c)) for c in cols):
+        raise SingularSolveError(f"resolvent solve singular at u = {u}")
+    return [sum_channels(c, gen.num_channels) for c in cols]
+
+
 def reduced_resolvent(model_or_generator, u: complex) -> np.ndarray:
     """The ``d**2 x d**2`` map ``(1| (u - G)^{-1} |P)``."""
     gen = _as_generator(model_or_generator)
-    n = gen.dim * gen.dim
-    lhs = u * np.eye(gen.matrix.shape[0]) - gen.matrix
-    try:
-        lu = scipy.linalg.lu_factor(lhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSolveError(f"resolvent solve singular at u = {u}") from exc
-    cols = scipy.linalg.lu_solve(lu, _embed_columns(gen.weights, gen.dim))
-    if not np.all(np.isfinite(cols)):
-        raise SingularSolveError(f"resolvent solve singular at u = {u}")
-    return _sum_channels(cols, gen.num_channels, n)
+    return _reduced_solves(gen, u, embed_channels(gen.weights, np.eye(gen.dim * gen.dim)))[0]
 
 
 def memory_kernel_at(
@@ -350,17 +334,8 @@ def memory_kernel_at(
     proj = _as_analysis(model_or_analysis)
     if proj.memory_embedding is None:
         raise TypeError("memory_kernel_at needs a model or a stationary_projector built from one")
-    gen = proj.generator
-    k, n = gen.num_channels, gen.dim * gen.dim
-    lhs_full = u * np.eye(gen.matrix.shape[0]) - gen.matrix
-    try:
-        lu = scipy.linalg.lu_factor(lhs_full)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSolveError(f"resolvent solve singular at u = {u}") from exc
-    resolvent = _sum_channels(scipy.linalg.lu_solve(lu, proj.embedding), k, n)
-    rhs_plain = _sum_channels(scipy.linalg.lu_solve(lu, proj.memory_embedding), k, n)
-    if not (np.all(np.isfinite(resolvent)) and np.all(np.isfinite(rhs_plain))):
-        raise SingularSolveError(f"resolvent solve singular at u = {u}")
+    n = proj.dim * proj.dim
+    resolvent, rhs_plain = _reduced_solves(proj.generator, u, proj.embedding, proj.memory_embedding)
 
     shifted = float(np.abs(proj.reduced_map).max()) > homogeneity_tol
     lhs, rhs = resolvent, rhs_plain
@@ -408,19 +383,15 @@ def stationary_state(
     """
     proj = _as_analysis(model_or_analysis)
     gen = proj.generator
-    rho0 = _check_density(rho0, gen.dim, psd_tol)
-    vec0 = rho0.reshape(-1, order="F")
-    stat = (proj.reduced_map @ vec0).reshape(gen.dim, gen.dim, order="F")
+    vec0 = vectorize(_check_density(rho0, gen.dim, psd_tol))
+    stat = devectorize(proj.reduced_map @ vec0)
     slowest = proj.slowest_rate()
     if cross_check and slowest is not None:
         if slowest > -1e-12 * proj.scale:
             raise SolverError("non-decaying modes present; no stationary limit")
         t_relax = 20.0 / abs(slowest)
-        y0 = np.concatenate([p * vec0 for p in gen.weights])
-        y_end = scipy.linalg.expm(t_relax * gen.matrix) @ y0
-        rho_end = _sum_channels(y_end.reshape(-1, 1), gen.num_channels, gen.dim**2).reshape(
-            gen.dim, gen.dim, order="F"
-        )
+        y_end = scipy.linalg.expm(t_relax * gen.matrix) @ embed_channels(gen.weights, vec0)
+        rho_end = devectorize(sum_channels(y_end, gen.num_channels))
         if np.abs(rho_end - stat).max() > cross_tol:
             raise SolverError(
                 f"spectral stationary state disagrees with long-time integration "

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _kernels
 from ._rng import check_seed
-from .linalg import hamiltonian_superop, hermiticity_residual, kraus_superop, trace_vector, vectorize
-from .model import LindbladRateModel, OperatorBasis, _check_density, dissipator_superop
+from .linalg import devectorize, hamiltonian_superop, hermiticity_residual, kraus_superop, trace_vector, vectorize
+from .model import LindbladRateModel, OperatorBasis, _check_density, _grid_array, dissipator_superop
 
 __all__ = [
     "StochasticModel",
@@ -177,10 +177,7 @@ class EnsembleAccumulator:
 
     def channel_estimates(self) -> np.ndarray:
         """Estimated auxiliary matrices, shape (K, T, d, d)."""
-        k, t = self.channel_sums.shape[0], self.grid.shape[0]
-        d = self.dim
-        est = self.channel_sums / self.count
-        return est.reshape(k, t, d, d).transpose(0, 1, 3, 2)
+        return devectorize(self.channel_sums / self.count)
 
     def system_estimate(self) -> np.ndarray:
         """Estimated physical state, shape (T, d, d)."""
@@ -189,25 +186,19 @@ class EnsembleAccumulator:
     def system_standard_error(self):
         """Standard errors of the state estimate (real and imaginary parts)."""
         n = self.count
-        d, t = self.dim, self.grid.shape[0]
         sums = self.channel_sums.sum(axis=0)
         sq_re = self.channel_sq_re.sum(axis=0)
         sq_im = self.channel_sq_im.sum(axis=0)
         if n < 2:
-            zero = np.zeros((t, d, d))
+            zero = np.zeros((self.grid.shape[0], self.dim, self.dim))
             return zero, zero.copy()
         var_re = np.maximum(sq_re - sums.real**2 / n, 0.0) / (n - 1)
         var_im = np.maximum(sq_im - sums.imag**2 / n, 0.0) / (n - 1)
-        se_re = np.sqrt(var_re / n).reshape(t, d, d).transpose(0, 2, 1)
-        se_im = np.sqrt(var_im / n).reshape(t, d, d).transpose(0, 2, 1)
-        return se_re, se_im
+        return devectorize(np.sqrt(var_re / n)), devectorize(np.sqrt(var_im / n))
 
     def channel_occupation(self) -> np.ndarray:
         """Estimated channel occupation probabilities, shape (T, K)."""
-        k, t = self.channel_sums.shape[0], self.grid.shape[0]
-        d = self.dim
-        mats = self.channel_sums.reshape(k, t, d, d).transpose(0, 1, 3, 2)
-        return np.einsum("ktii->tk", mats).real / self.count
+        return np.einsum("ktii->tk", devectorize(self.channel_sums)).real / self.count
 
 
 def run_ensemble(
@@ -227,10 +218,8 @@ def run_ensemble(
     if n < 1:
         raise ValueError("n must be >= 1")
     master_seed = check_seed(master_seed)
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or times[0] != 0.0 or (times.shape[0] > 1 and np.any(np.diff(times) <= 0)):
-        raise ValueError("grid must be strictly increasing and start at 0")
-    rho0 = _check_density(np.asarray(rho0, dtype=complex), model.dim, 1e-8)
+    times = _grid_array(grid)
+    rho0 = _check_density(rho0, model.dim, 1e-8)
     kit = _build_kit(model, rho0, times)
     sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed)
     return EnsembleAccumulator(times, sums, sq_re, sq_im, n, model.dim)

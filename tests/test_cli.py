@@ -278,6 +278,17 @@ _RATE_K2 = {
     "weights": [0.5, 0.5],
     "diagonal_blocks": [[[0.1]], [[0.2]]],
 }
+# the fig2 preset written out as a walk
+_WALK_K2 = {
+    "type": "walk",
+    "basis": [[[1, 0], [0, -1]]],
+    "hamiltonian": [[0, 0], [0, 0]],
+    "channel_dissipators": [[[0.0]], [[0.0]]],
+    "hop_rates": [[0.0, 1.0], [0.1, 0.0]],
+    "jump_kraus": [[[[1, 0], [0, -1]]], [[[1, 0], [0, -1]]]],
+    "weights": [0.1, 0.9],
+}
+_TRIPARTITE_K1 = {"type": "tripartite", "basis": [[[1, 0], [0, -1]]], "channels": 1}
 _LOG_GRID = {"stop": 10.0, "count": 41, "spacing": "log"}
 BAD_FIELDS = {
     "state-dim-mismatch": ({"initial_state": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "$.initial_state:"),
@@ -340,6 +351,28 @@ BAD_FIELDS = {
     "grid-points-collapse": ({"grid": {"stop": 1e-321, "count": 1000}}, "$.grid:"),
     "output-number": ({"output": 5}, "$.output:"),
     "output-list": ({"output": ["a"]}, "$.output:"),
+    # unknown keys below the top level used to be ignored
+    "grid-misspelt-key": ({"grid": {"stop": 10.0, "count": 41, "spacnig": "log"}}, "$.grid.spacnig:"),
+    "preset-misspelt-key": ({"model": {"type": "preset", "name": "fig2", "nmae": "fig1-upper"}}, "$.model.nmae:"),
+    "rate-unknown-key": ({"model": dict(_RATE_K2, workers=2)}, "$.model.workers:"),
+    "walk-unknown-key": ({"model": dict(_WALK_K2, basiss=[])}, "$.model.basiss:"),
+    "tripartite-unknown-key": ({"model": dict(_TRIPARTITE_K1, b=[], weigths=[1.0])}, "$.model.weigths:"),
+    "correlations-unknown-key": ({"model": {"type": "correlations", "quadratur": "simpson"}}, "$.model.quadratur:"),
+    "offdiagonal-misspelt-key": (
+        {"model": dict(_RATE_K2, offdiagonal_blocks=[{"to": 1, "from": 0, "blokc": [[0.1]]}])},
+        "$.model.offdiagonal_blocks[0].blokc:",
+    ),
+    "tripartite-b-misspelt-key": (
+        {"model": dict(_TRIPARTITE_K1, b=[{"u": [0, 0], "v": [0, 0], "blokc": [[1.0]]}])},
+        "$.model.b[0].blokc:",
+    ),
+    "model-type-list": ({"model": {"type": ["rate"]}}, "$.model.type:"),
+    # these two ended in TypeError tracebacks, and a NaN hop rate ran with exit 0
+    "walk-jump-kraus-number": ({"model": dict(_WALK_K2, jump_kraus=5)}, "$.model.jump_kraus:"),
+    "walk-hop-rates-object": ({"model": dict(_WALK_K2, hop_rates={"a": 1})}, "$.model.hop_rates:"),
+    "walk-hop-rate-nan": ({"model": dict(_WALK_K2, hop_rates=[[0.0, float("nan")], [0.1, 0.0]])}, "$.model.hop_rates[0]:"),
+    "walk-hop-rates-ragged": ({"model": dict(_WALK_K2, hop_rates=[[0.0, 1.0], [0.1]])}, "$.model:"),
+    "walk-weights-string": ({"model": dict(_WALK_K2, weights="abc")}, "$.model.weights:"),
 }
 
 
@@ -497,6 +530,12 @@ class TestCliCommands:
         assert field in err
         assert "Traceback" not in err
 
+    def test_walk_field_error_names_its_path_once(self, tmp_path, capsys):
+        # used to print "$.model: $.model.hamiltonian: ..."
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, model=dict(_WALK_K2, hamiltonian="x")))
+        assert main(["evolve", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "configuration error: $.model.hamiltonian: expected a matrix as a list of rows\n"
+
     def test_unwritable_output_exit_1_naming_it(self, tmp_path, capsys):
         # used to end in a FileNotFoundError traceback
         target = str(tmp_path / "missing-dir" / "x.csv")
@@ -562,15 +601,7 @@ class TestCliCommands:
 class TestModelSources:
     def test_walk_model_matches_preset_bit_for_bit(self, tmp_path):
         walk_payload = {
-            "model": {
-                "type": "walk",
-                "basis": [[[1, 0], [0, -1]]],
-                "hamiltonian": [[0, 0], [0, 0]],
-                "channel_dissipators": [[[0.0]], [[0.0]]],
-                "hop_rates": [[0.0, 1.0], [0.1, 0.0]],
-                "jump_kraus": [[[[1, 0], [0, -1]]], [[[1, 0], [0, -1]]]],
-                "weights": [0.1, 0.9],
-            },
+            "model": _WALK_K2,
             "grid": {"stop": 10.0, "count": 41},
             "engine": "stochastic",
             "trajectories": 500,

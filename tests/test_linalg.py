@@ -8,6 +8,7 @@ from lindbladrate.linalg import (
     devectorize,
     hamiltonian_superop,
     kraus_superop,
+    min_eigenvalue,
     psd_check,
     sandwich_superop,
     trace_vector,
@@ -37,6 +38,38 @@ class TestVectorize:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             vectorize(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            devectorize(np.ones((3, 5)))
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_batched_roundtrip_bit_exact(self, rng, lead):
+        x = rng.normal(size=(*lead, 3, 3)) + 1j * rng.normal(size=(*lead, 3, 3))
+        v = vectorize(x)
+        assert v.shape == (*lead, 9)
+        assert np.array_equal(devectorize(v), x)
+        assert np.array_equal(vectorize(devectorize(v)), v)
+        for idx in np.ndindex(lead):
+            assert np.array_equal(v[idx], vec_oracle(x[idx]))
+
+    def test_devectorize_keeps_real_dtype(self, rng):
+        v = rng.normal(size=(2, 4))
+        out = devectorize(v)
+        assert out.dtype == np.float64
+        assert np.array_equal(out[1], v[1].reshape(2, 2).T)
+
+
+class TestMinEigenvalue:
+    def test_batched_matches_per_matrix(self, rng):
+        mats = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        batched = min_eigenvalue(mats)
+        assert batched.shape == (4,)
+        for m, lam in zip(mats, batched):
+            assert lam == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-12)
+
+    def test_uses_hermitian_part(self):
+        # the anti-Hermitian part is dropped: (M + M^dag) / 2 = diag(1, -2)
+        m = np.array([[1.0, 3.0], [-3.0, -2.0]])
+        assert float(min_eigenvalue(m)) == pytest.approx(-2.0)
 
 
 class TestSandwich:

@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from lindbladrate.linalg import choi_matrix, psd_check, trace_vector, vectorize
+from lindbladrate.linalg import choi_matrix, devectorize, psd_check, trace_vector, vectorize
 from lindbladrate.model import (
     LindbladRateModel,
     MarkovDecayError,
     ModelStructureError,
     OperatorBasis,
-    StackedState,
     assemble_generator,
     build_from_correlations,
     channel_generator,
     decompose_random_lindblad,
-    initial_stacked_state,
+    embed_channels,
     reduce_from_tripartite,
+    sum_channels,
     validate_model,
 )
 from lindbladrate.qubit import DephasingParams, dephasing_model, preset_params
+from lindbladrate.solver import evolve
 
 from conftest import (
     apply_rate_equation,
@@ -132,10 +133,10 @@ class TestAssembleGenerator:
             gen = assemble_generator(model).matrix
             for _ in range(5):
                 stacked = np.stack([random_density(rng, d) for _ in range(k)])
-                image = gen @ np.concatenate([vectorize(s) for s in stacked])
+                image = gen @ vectorize(stacked).ravel()
                 oracle = apply_rate_equation(model, stacked)
                 np.testing.assert_allclose(
-                    StackedState.from_vector(image, k, d).matrices,
+                    devectorize(image.reshape(k, d * d)),
                     oracle,
                     atol=1e-12,
                     err_msg=f"d={d}, K={k}, m={model.basis.size}",
@@ -155,9 +156,7 @@ class TestAssembleGenerator:
         gen = assemble_generator(model).matrix
         for _ in range(20):
             stacked = np.stack([random_hermitian(rng, 2), random_hermitian(rng, 2)])
-            image = StackedState.from_vector(
-                gen @ np.concatenate([vectorize(s) for s in stacked]), 2, 2
-            ).matrices
+            image = devectorize((gen @ vectorize(stacked).ravel()).reshape(2, 4))
             for mat in image:
                 assert np.linalg.norm(mat - mat.conj().T) < 1e-12 * max(1.0, np.linalg.norm(mat))
 
@@ -173,33 +172,61 @@ class TestAssembleGenerator:
             assert ok, f"Choi minimum eigenvalue {min_eig} at t={t}"
 
 
+def initial_stacked_state(model, rho):
+    """The weighted embedding ``|P) rho`` as ``(K, d, d)`` matrices."""
+    return devectorize(embed_channels(model.weights, vectorize(rho)).reshape(model.num_channels, -1))
+
+
 class TestInitialStackedState:
     def test_weighted_embedding(self):
         model, _ = dephasing_model(DephasingParams(0.0, 0.0, 1.0, 0.1, 0.1, 0.9))
         state = initial_stacked_state(model, np.eye(2) / 2)
-        np.testing.assert_allclose(state.matrices[0], 0.05 * np.eye(2))
-        np.testing.assert_allclose(state.matrices[1], 0.45 * np.eye(2))
+        np.testing.assert_allclose(state[0], 0.05 * np.eye(2))
+        np.testing.assert_allclose(state[1], 0.45 * np.eye(2))
+        # evolve starts from this stacked state
+        np.testing.assert_allclose(evolve(model, np.eye(2) / 2, [0.0]).stacked[0], state, atol=1e-15)
 
     def test_single_channel_copies_state(self, rng):
         model = random_rate_model(rng, d=2, k=1)
         rho = random_density(rng, 2)
-        np.testing.assert_allclose(initial_stacked_state(model, rho).matrices[0], rho)
+        np.testing.assert_allclose(initial_stacked_state(model, rho)[0], rho)
 
     def test_total_trace_one(self, rng):
         model = random_rate_model(rng, d=2, k=3)
         rho = random_density(rng, 2)
-        state = initial_stacked_state(model, rho)
-        assert np.trace(state.system) == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(initial_stacked_state(model, rho).sum(axis=0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_trace(self, rng):
         model = random_rate_model(rng, d=2, k=2)
-        with pytest.raises(ValueError):
-            initial_stacked_state(model, np.eye(2))
+        with pytest.raises(ValueError, match="trace"):
+            evolve(model, np.eye(2), [0.0])
 
     def test_rejects_negative_state(self, rng):
         model = random_rate_model(rng, d=2, k=2)
-        with pytest.raises(ValueError):
-            initial_stacked_state(model, np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            evolve(model, np.diag([1.5, -0.5]).astype(complex), [0.0])
+
+
+class TestChannelMaps:
+    @pytest.mark.parametrize("shape", [(4,), (9, 5), (4, 2, 3)])
+    def test_sum_inverts_embed(self, rng, shape):
+        # (1|P) = sum_R P_R = 1 whenever the weights are normalized; with
+        # |x| <= 1 per part and K <= 3 the rounding stays below 2K ulps of 1
+        for k in (1, 2, 3):
+            weights = rng.uniform(0.1, 1.0, size=k)
+            weights /= weights.sum()
+            x = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
+            y = embed_channels(weights, x)
+            assert y.shape == (k * shape[0], *shape[1:])
+            err = sum_channels(y, k) - x
+            assert max(np.abs(err.real).max(), np.abs(err.imag).max()) <= 1e-15
+
+    def test_channel_major_layout(self, rng):
+        x = rng.normal(size=(4, 3))
+        y = embed_channels([0.25, 0.75], x)
+        np.testing.assert_array_equal(y[:4], 0.25 * x)
+        np.testing.assert_array_equal(y[4:], 0.75 * x)
+        np.testing.assert_array_equal(sum_channels(y, 2), y[:4] + y[4:])
 
 
 class TestReduceFromTripartite:

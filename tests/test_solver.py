@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from lindbladrate.linalg import hamiltonian_superop, vectorize
+from lindbladrate.linalg import devectorize, hamiltonian_superop, vectorize
 from lindbladrate.model import (
     LindbladRateModel,
     OperatorBasis,
@@ -11,6 +11,8 @@ from lindbladrate.model import (
     assemble_generator,
     channel_generator,
     decompose_random_lindblad,
+    embed_channels,
+    sum_channels,
 )
 from lindbladrate.qubit import (
     SIGMA_Z,
@@ -190,8 +192,8 @@ class TestStationaryProjector:
         assert svals[0] > 1e-6
         assert svals[1] < 1e-10
         rho_a, rho_b = random_density(rng, 2), random_density(rng, 2)
-        out_a = (proj.reduced_map @ vectorize(rho_a)).reshape(2, 2, order="F")
-        out_b = (proj.reduced_map @ vectorize(rho_b)).reshape(2, 2, order="F")
+        out_a = devectorize(proj.reduced_map @ vectorize(rho_a))
+        out_b = devectorize(proj.reduced_map @ vectorize(rho_b))
         np.testing.assert_allclose(out_a, out_b, atol=1e-9)
 
     def test_fig2_coherence_component(self):
@@ -260,16 +262,14 @@ class TestReducedResolvent:
                 assert res[v, v] == pytest.approx(1.0 / u, abs=1e-12)
 
     def test_resolvent_identity_via_full_space_composition(self, rng):
-        from lindbladrate.solver import _embed_columns, _sum_channels
-
         model = random_rate_model(rng, d=2, k=2)
         gen = assemble_generator(model)
         u, v = 0.9 + 0.2j, 2.1 - 0.4j
         lhs = reduced_resolvent(gen, u) - reduced_resolvent(gen, v)
         eye = np.eye(8)
-        cols = np.linalg.solve(v * eye - gen.matrix, _embed_columns(gen.weights, 2))
+        cols = np.linalg.solve(v * eye - gen.matrix, embed_channels(gen.weights, np.eye(4)))
         cols = np.linalg.solve(u * eye - gen.matrix, cols)
-        rhs = (v - u) * _sum_channels(cols, 2, 4)
+        rhs = (v - u) * sum_channels(cols, 2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
