@@ -76,14 +76,14 @@ def _pair(value, size: int, path: str) -> int:
 
 
 def _complex_scalar(value, path: str) -> complex:
-    try:
-        if isinstance(value, (int, float)):
-            return complex(value)
-        if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
-            return complex(value[0], value[1])
-    except OverflowError:
-        raise ConfigError(path, "number beyond the float range") from None
-    raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
+    # true/false count as 1/0 in a matrix, as they do in _matrix's one-array parse
+    re, im = (_finite_number(float(x) if isinstance(x, bool) else x) for x in parts)
+    if re is None or im is None:
+        raise ConfigError(path, f"expected finite numbers within the float range, got {value!r}")
+    return complex(re, im)
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -96,16 +96,21 @@ def _matrix(value, path: str) -> np.ndarray:
         arr = np.array(value)
     except ValueError:  # inhomogeneous nesting
         arr = None
-    if arr is not None and arr.dtype.kind in "biuf" and (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 2)):
+    if (
+        arr is not None
+        and arr.dtype.kind in "biuf"
+        and (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 2))
+        and np.isfinite(arr).all()
+    ):
         out = np.zeros(arr.shape[:2], dtype=complex)
         if arr.ndim == 2:
             out.real = arr
         else:
             out.real, out.imag = arr[..., 0], arr[..., 1]
         return out
-    # Anything else (a bad entry, ragged rows, rows mixing pairs and bare
-    # numbers, integers beyond 64 bits) goes entry by entry, which names
-    # the first bad entry.
+    # Anything else (a bad or non-finite entry, ragged rows, rows mixing
+    # pairs and bare numbers, integers beyond 64 bits) goes entry by entry,
+    # which names the first bad entry.
     rows = []
     width = None
     for i, row in enumerate(value):
@@ -120,6 +125,27 @@ def _matrix(value, path: str) -> np.ndarray:
 
 def _matrix_list(value, path: str) -> list[np.ndarray]:
     return [_matrix(m, f"{path}[{i}]") for i, m in enumerate(_list(value, path))]
+
+
+def _check_shape(array: np.ndarray, shape: tuple, why: str, path: str) -> None:
+    if array.shape != shape:
+        raise ConfigError(path, f"expected shape {shape} ({why}), got {array.shape}")
+
+
+def _sized_matrix(value, size: int, why: str, path: str) -> np.ndarray:
+    """A ``(size, size)`` matrix; ``why`` says where the size comes from."""
+    out = _matrix(value, path)
+    _check_shape(out, (size, size), why, path)
+    return out
+
+
+def _sized_matrix_list(value, size: int, why: str, path: str) -> list[np.ndarray]:
+    return [_sized_matrix(m, size, why, f"{path}[{i}]") for i, m in enumerate(_list(value, path))]
+
+
+def _check_channels(items: list, k: int, path: str) -> None:
+    if len(items) != k:
+        raise ConfigError(path, f"expected one entry per channel ({k} weights), got {len(items)}")
 
 
 @dataclass
@@ -211,32 +237,37 @@ def _parse_tolerances(section, path: str) -> float:
 
 
 def _parse_basis(section, path: str) -> OperatorBasis:
+    ops = _matrix_list(section, path)
+    for i, op in enumerate(ops):
+        _check_shape(op, (ops[0].shape[0],) * 2, "square, the size of the first operator", f"{path}[{i}]")
     try:
-        return OperatorBasis(np.array(_matrix_list(section, path)))
+        return OperatorBasis(np.array(ops))
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_rate_model(section, path: str) -> LindbladRateModel:
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
+    d, m = basis.dim, basis.size
     weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
         raise ConfigError(f"{path}.weights", f"weights must be nonnegative and sum to 1, got {weights.tolist()}")
     k = weights.shape[0]
-    diagonal = _matrix_list(_require(section, "diagonal_blocks", path), f"{path}.diagonal_blocks")
-    if len(diagonal) != k:
-        raise ConfigError(f"{path}.diagonal_blocks", f"expected one block per channel ({k}), got {len(diagonal)}")
+    dim_why, size_why = f"system dimension {d}", f"basis size {m}"
+    diagonal = _sized_matrix_list(_require(section, "diagonal_blocks", path), m, size_why, f"{path}.diagonal_blocks")
+    _check_channels(diagonal, k, f"{path}.diagonal_blocks")
     offdiag = {}
     for i, ent in enumerate(_list(section.get("offdiagonal_blocks", []), f"{path}.offdiagonal_blocks")):
         epath = f"{path}.offdiagonal_blocks[{i}]"
         _check_keys(ent, ("to", "from", "block"), epath)
         r = _index(_require(ent, "to", epath), k, f"{epath}.to")
         rp = _index(_require(ent, "from", epath), k, f"{epath}.from")
-        offdiag[(r, rp)] = _matrix(_require(ent, "block", epath), f"{epath}.block")
-    hams = None
+        offdiag[(r, rp)] = _sized_matrix(_require(ent, "block", epath), m, size_why, f"{epath}.block")
+    hams = sys_h = None
     if "hamiltonians" in section:
-        hams = np.array(_matrix_list(section["hamiltonians"], f"{path}.hamiltonians"))
-    sys_h = _matrix(section["system_hamiltonian"], f"{path}.system_hamiltonian") if "system_hamiltonian" in section else None
+        hams = np.array(_sized_matrix_list(section["hamiltonians"], d, dim_why, f"{path}.hamiltonians"))
+    if "system_hamiltonian" in section:
+        sys_h = _sized_matrix(section["system_hamiltonian"], d, dim_why, f"{path}.system_hamiltonian")
     try:
         return LindbladRateModel.from_blocks(basis, weights, np.array(diagonal), offdiag, hams, sys_h)
     except ValueError as exc:
@@ -245,13 +276,23 @@ def _parse_rate_model(section, path: str) -> LindbladRateModel:
 
 def _parse_walk_model(section, path: str) -> StochasticModel:
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
-    hamiltonian = _matrix(_require(section, "hamiltonian", path), f"{path}.hamiltonian")
-    dissipators = _matrix_list(_require(section, "channel_dissipators", path), f"{path}.channel_dissipators")
+    d, m = basis.dim, basis.size
+    dim_why, size_why = f"system dimension {d}", f"basis size {m}"
+    hamiltonian = _sized_matrix(_require(section, "hamiltonian", path), d, dim_why, f"{path}.hamiltonian")
+    dissipators = _sized_matrix_list(
+        _require(section, "channel_dissipators", path), m, size_why, f"{path}.channel_dissipators"
+    )
     hop_rows = _list(_require(section, "hop_rates", path), f"{path}.hop_rates")
     hop_rates = [_real_vector(row, f"{path}.hop_rates[{i}]") for i, row in enumerate(hop_rows)]
     kraus_sets = _list(_require(section, "jump_kraus", path), f"{path}.jump_kraus")
-    kraus = [_matrix_list(ops, f"{path}.jump_kraus[{i}]") for i, ops in enumerate(kraus_sets)]
+    kraus = [_sized_matrix_list(ops, d, dim_why, f"{path}.jump_kraus[{i}]") for i, ops in enumerate(kraus_sets)]
     weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
+    k = weights.shape[0]
+    _check_channels(dissipators, k, f"{path}.channel_dissipators")
+    _check_channels(hop_rates, k, f"{path}.hop_rates")
+    for i, row in enumerate(hop_rates):
+        _check_shape(row, (k,), f"one rate per channel, {k} weights", f"{path}.hop_rates[{i}]")
+    _check_channels(kraus, k, f"{path}.jump_kraus")
     try:
         return StochasticModel(basis, hamiltonian, dissipators, hop_rates, kraus, weights)
     except ValueError as exc:
@@ -294,7 +335,7 @@ def _parse_model(section, path: str) -> ModelSource:
             epath = f"{path}.b[{i}]"
             _check_keys(ent, ("u", "v", "block"), epath)
             u, v = (_pair(_require(ent, key, epath), k, f"{epath}.{key}") for key in ("u", "v"))
-            b[u, v] = _matrix(_require(ent, "block", epath), f"{epath}.block")
+            b[u, v] = _sized_matrix(_require(ent, "block", epath), m, f"basis size {m}", f"{epath}.block")
         weights = _real_vector(section["weights"], f"{path}.weights") if "weights" in section else None
         try:
             return ModelSource("rate", {"rate": reduce_from_tripartite(b, k, basis, weights)})
@@ -304,7 +345,10 @@ def _parse_model(section, path: str) -> ModelSource:
         basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
         tau = _real_vector(_require(section, "tau", path), f"{path}.tau")
         chi = _require(section, "chi", path)  # nested number lists; build_from_correlations converts them
-        h_sys = _matrix(_require(section, "system_hamiltonian", path), f"{path}.system_hamiltonian")
+        d = basis.dim
+        h_sys = _sized_matrix(
+            _require(section, "system_hamiltonian", path), d, f"system dimension {d}", f"{path}.system_hamiltonian"
+        )
         weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
         try:
             blocks = build_from_correlations(chi, tau, h_sys, basis, section.get("quadrature", "simpson"))

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import devectorize, hamiltonian_superop, min_eigenvalue, vectorize
+from .linalg import _kron, devectorize, hamiltonian_superop, min_eigenvalue, vectorize
 from .model import (
     LindbladRateModel,
     StackedGenerator,
@@ -166,6 +165,8 @@ def _propagate_exact(gen: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.n
     if use_eig:
         z0 = inv @ y0
         return (np.exp(np.multiply.outer(times, vals)) * z0) @ vecs.T
+    import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
+
     out = np.empty((times.shape[0], y0.shape[0]), dtype=complex)
     y = y0.astype(complex)
     prev = 0.0
@@ -223,6 +224,8 @@ def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> Stationa
     n_total = g.shape[0]
     scale = max(1.0, float(np.linalg.norm(g, 2)))
     thr = zero_tol * scale
+    import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
+
     tmat, q, sdim = scipy.linalg.schur(g, output="complex", sort=lambda lam: abs(lam) < thr)
     n = gen.dim * gen.dim
     if sdim == 0:
@@ -253,7 +256,7 @@ def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> Stationa
     reduced = sum_channels(proj @ embed, k)
     memory_embed = stationary_memory = None
     if isinstance(model_or_generator, LindbladRateModel):
-        memory = g - np.kron(np.eye(k), hamiltonian_superop(model_or_generator.system_hamiltonian))
+        memory = g - _kron(np.eye(k), hamiltonian_superop(model_or_generator.system_hamiltonian))
         memory_embed = memory @ embed
         stationary_memory = sum_channels(proj @ memory_embed, k)
     eigenvalues = np.diag(tmat).copy()
@@ -294,6 +297,8 @@ def homogeneity_check(model_or_analysis, tol: float = 1e-9) -> HomogeneityReport
 def _reduced_solves(gen: StackedGenerator, u: complex, *rhs: np.ndarray) -> list[np.ndarray]:
     """``(1| (u - G)^{-1} B`` for each stacked right-hand side ``B``, all from
     one LU factorization of ``u - G``."""
+    import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
+
     try:
         lu = scipy.linalg.lu_factor(u * np.eye(gen.matrix.shape[0]) - gen.matrix)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -390,6 +395,8 @@ def stationary_state(
         if slowest > -1e-12 * proj.scale:
             raise SolverError("non-decaying modes present; no stationary limit")
         t_relax = 20.0 / abs(slowest)
+        import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
+
         y_end = scipy.linalg.expm(t_relax * gen.matrix) @ embed_channels(gen.weights, vec0)
         rho_end = devectorize(sum_channels(y_end, gen.num_channels))
         if np.abs(rho_end - stat).max() > cross_tol:

@@ -371,8 +371,74 @@ BAD_FIELDS = {
     "walk-jump-kraus-number": ({"model": dict(_WALK_K2, jump_kraus=5)}, "$.model.jump_kraus:"),
     "walk-hop-rates-object": ({"model": dict(_WALK_K2, hop_rates={"a": 1})}, "$.model.hop_rates:"),
     "walk-hop-rate-nan": ({"model": dict(_WALK_K2, hop_rates=[[0.0, float("nan")], [0.1, 0.0]])}, "$.model.hop_rates[0]:"),
-    "walk-hop-rates-ragged": ({"model": dict(_WALK_K2, hop_rates=[[0.0, 1.0], [0.1]])}, "$.model:"),
     "walk-weights-string": ({"model": dict(_WALK_K2, weights="abc")}, "$.model.weights:"),
+    # walk shape errors printed numpy's "inhomogeneous shape" message on $.model
+    "walk-hop-rates-ragged": (
+        {"model": dict(_WALK_K2, hop_rates=[[0.0, 1.0], [0.1]])},
+        "$.model.hop_rates[1]: expected shape (2,)",
+    ),
+    "walk-hop-rates-rows": (
+        {"model": dict(_WALK_K2, hop_rates=[[0.0, 1.0], [0.1, 0.0], [0.0, 0.0]])},
+        "$.model.hop_rates: expected one entry per channel (2 weights), got 3",
+    ),
+    "walk-dissipator-sizes": (
+        {"model": dict(_WALK_K2, channel_dissipators=[[[0.0]], [[0.0, 0.0], [0.0, 0.0]]])},
+        "$.model.channel_dissipators[1]: expected shape (1, 1)",
+    ),
+    "walk-jump-kraus-size": (
+        {"model": dict(_WALK_K2, jump_kraus=[[[[1, 0], [0, -1]]], [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]])},
+        "$.model.jump_kraus[1][0]: expected shape (2, 2)",
+    ),
+    "walk-hamiltonian-size": ({"model": dict(_WALK_K2, hamiltonian=[[0.0]])}, "$.model.hamiltonian: expected shape (2, 2)"),
+    # the same for rate and tripartite blocks: a numpy message on $.model, or a ValueError traceback
+    "rate-diagonal-block-sizes": (
+        {"model": dict(_RATE_K2, diagonal_blocks=[[[0.1]], [[0.2, 0.0], [0.0, 0.1]]])},
+        "$.model.diagonal_blocks[1]: expected shape (1, 1)",
+    ),
+    "rate-offdiagonal-block-size": (
+        {"model": dict(_RATE_K2, offdiagonal_blocks=[{"to": 1, "from": 0, "block": [[0.1, 0.0], [0.0, 0.1]]}])},
+        "$.model.offdiagonal_blocks[0].block: expected shape (1, 1)",
+    ),
+    "rate-hamiltonian-sizes": (
+        {"model": dict(_RATE_K2, hamiltonians=[[[1, 0], [0, -1]], [[1]]])},
+        "$.model.hamiltonians[1]: expected shape (2, 2)",
+    ),
+    "rate-system-hamiltonian-size": (
+        {"model": dict(_RATE_K2, system_hamiltonian=[[1]])},
+        "$.model.system_hamiltonian: expected shape (2, 2)",
+    ),
+    "correlations-system-hamiltonian-size": (
+        {
+            "model": {
+                "type": "correlations",
+                "basis": [[[1, 0], [0, -1]]],
+                "tau": [0.0, 1.0, 2.0],
+                "chi": [],
+                "system_hamiltonian": [[0]],
+                "weights": [1.0],
+            }
+        },
+        "$.model.system_hamiltonian: expected shape (2, 2)",
+    ),
+    "rate-basis-sizes": (
+        {"model": dict(_RATE_K2, basis=[[[1, 0], [0, -1]], [[1]]])},
+        "$.model.basis[1]: expected shape (2, 2)",
+    ),
+    "tripartite-block-size": (
+        {"model": dict(_TRIPARTITE_K1, b=[{"u": [0, 0], "v": [0, 0], "block": [[1.0, 0.0], [0.0, 1.0]]}])},
+        "$.model.b[0].block: expected shape (1, 1)",
+    ),
+    # non-finite matrix entries used to exit 3 with "engine failure: matrix has non-finite entries"
+    "rate-block-nan": (
+        {"model": dict(_RATE_K2, diagonal_blocks=[[[float("nan")]], [[0.2]]])},
+        "$.model.diagonal_blocks[0][0][0]:",
+    ),
+    "initial-state-nan": ({"initial_state": [[1, 0], [0, float("nan")]]}, "$.initial_state[1][1]:"),
+    "walk-hamiltonian-infinity": (
+        {"model": dict(_WALK_K2, hamiltonian=[[[0, 0], [0, float("inf")]], [[0, float("-inf")], [0, 0]]])},
+        "$.model.hamiltonian[0][1]:",
+    ),
+    "kernel-u-nan": ({"kernel_u": [1.5, float("nan")]}, "$.kernel_u[1]:"),
 }
 
 
@@ -678,3 +744,31 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindbladrate.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_scipy_linalg_loads_only_for_spectral_commands():
+    # scipy.linalg is ~0.2 s of start-up; only the Schur/LU/expm branches need it
+    code = """
+import contextlib, io, json, sys
+import lindbladrate.cli
+seen = {"import": "scipy.linalg" in sys.modules}
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lindbladrate.cli.main(command.split())
+    seen[command] = [code, "scipy.linalg" in sys.modules]
+print(json.dumps(seen))
+"""
+    commands = [
+        "traj --preset fig2 --n 50 --seed 1",
+        "evolve --preset fig1-lower",
+        "validate --preset fig2",
+        "example fig2 --n 50 --seed 1",
+        "kernel --preset fig2",  # last: shows that the probe can fire
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindbladrate.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *commands], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import") is False
+    assert seen == {command: [0, command.startswith("kernel")] for command in commands}

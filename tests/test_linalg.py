@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from lindbladrate.linalg import (
+    _kron,
     choi_matrix,
     coefficient_superop,
     devectorize,
@@ -159,3 +160,20 @@ class TestSuperopHelpers:
                 coeffs[b, a, g] * sandwich_superop(ops[a], ops[g].conj().T) for a in range(5) for g in range(5)
             )
             np.testing.assert_allclose(superops[b], expected, atol=1e-12)
+
+
+class TestKron:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bits_match_numpy_kron(self, rng, d):
+        real = rng.normal(size=(d, d))
+        real[0, 0] = -0.0
+        cplx = random_hermitian(rng, d) + 1j * rng.normal(size=(d, d))
+        cplx[0, 1] = complex(-0.0, -0.0)
+        eye = np.eye(d)
+        for a in (real, cplx, eye, -eye):
+            for b in (real, cplx, eye, cplx.T):
+                got, want = _kron(a, b), np.kron(a, b)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                for part in (np.real, np.imag):
+                    np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))

@@ -1,12 +1,14 @@
 """Byte pins of the CLI output.
 
 Each command's stdout (the CSV table, or the ``stationary`` report) is
-pinned by its sha256, recorded at commit ``dd006cb``.  A refactor that
-claims to leave the output unchanged must keep every digest; a change that
-moves a byte on purpose updates the digest and says why.
+pinned by its sha256, the preset commands recorded at commit ``dd006cb``
+and the two config commands at ``4c18cc9``.  A refactor that claims to
+leave the output unchanged must keep every digest; a change that moves a
+byte on purpose updates the digest and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -20,9 +22,75 @@ PINNED = {
     "example fig2 --n 500 --seed 1": "b1fa2064b0d24acb73d83b4a92eb08ce68f66dad04ceba1de87529a0d79f4eee",
 }
 
+_SX = [[0, 1], [1, 0]]
+_SY = [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]
+_R = 0.5**0.5
+# Two-channel depolarizing walk, jump map (sx . sx + sy . sy) / 2, with a
+# Hamiltonian and self-dissipators so the self-generators are not zero.
+_WALK = {
+    "type": "walk",
+    "basis": [_SX, _SY],
+    "hamiltonian": [[0.3, 0], [0, -0.3]],
+    "channel_dissipators": [[[0.05, 0], [0, 0.02]], [[[0.1, 0], [0, 0.02]], [[0, -0.02], [0.04, 0]]]],
+    "hop_rates": [[0.0, 1.0], [0.5, 0.0]],
+    "jump_kraus": [[[[0, _R], [_R, 0]], [[[0, 0], [0, -_R]], [[0, _R], [0, 0]]]]] * 2,
+    "weights": [0.3, 0.7],
+}
+# A random (d, K) = (2, 2) rate model, rounded to three decimals: PSD
+# blocks for every channel pair in a non-Hermitian basis, one Hamiltonian
+# per channel.
+_RATE = {
+    "type": "rate",
+    "basis": [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]],
+    "weights": [0.35, 0.65],
+    "diagonal_blocks": [
+        [[[4.285, 0], [1.773, -1.358], [-1.574, 0.755]], [[1.773, 1.358], [1.755, 0], [-0.738, -0.186]],
+         [[-1.574, -0.755], [-0.738, 0.186], [1.211, 0]]],
+        [[[2.617, 0], [0.89, 1.421], [0.525, -0.725]], [[0.89, -1.421], [2.733, 0], [-0.505, -0.685]],
+         [[0.525, 0.725], [-0.505, 0.685], [0.869, 0]]],
+    ],
+    "offdiagonal_blocks": [
+        {"to": 0, "from": 1, "block": [[[1.792, 0], [-2.141, -1.376], [0.628, -1.253]],
+                                       [[-2.141, 1.376], [6.25, 0], [0.516, 2.094]],
+                                       [[0.628, 1.253], [0.516, -2.094], [3.445, 0]]]},
+        {"to": 1, "from": 0, "block": [[[1.868, 0], [1.407, 0.064], [1.358, 0.495]],
+                                       [[1.407, -0.064], [2.564, 0], [0.955, -0.179]],
+                                       [[1.358, -0.495], [0.955, 0.179], [1.911, 0]]]},
+    ],
+    "hamiltonians": [
+        [[[-1.656, 0], [-0.345, -0.323]], [[-0.345, 0.323], [0.249, 0]]],
+        [[[-0.995, 0], [-0.399, -0.574]], [[-0.399, 0.574], [0.49, 0]]],
+    ],
+}
+_STATE = [[[0.7, 0], [0.2, -0.1]], [[0.2, 0.1], [0.3, 0]]]
+
+CONFIG_PINNED = {
+    "traj walk --n 500 --seed 3": (
+        {"model": _WALK, "initial_state": _STATE, "grid": {"stop": 10.0, "count": 51}},
+        "a9e4260e8894b117420ef9c46f47ee9fe73054477e3664c2332d545f811dbf98",
+    ),
+    "evolve rate": (
+        {"model": _RATE, "initial_state": _STATE, "grid": {"stop": 2.0, "count": 81, "spacing": "log"}},
+        "809e2a4eeb8d46d935dcf3cf04c69cb2a71992a3e73239ef3af759dfc2f53fae",
+    ),
+}
+
 
 @pytest.mark.parametrize("command", list(PINNED))
 def test_stdout_bytes_pinned(capsys, command):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
+
+
+@pytest.mark.parametrize("command", list(CONFIG_PINNED))
+def test_config_stdout_bytes_pinned(tmp_path, capsys, command):
+    # walk self-generators and random rate models reach the superoperator
+    # builders through other paths than the presets do
+    config, digest = CONFIG_PINNED[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    name, _, *options = command.split()
+    assert main([name, "--config", str(path), *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
