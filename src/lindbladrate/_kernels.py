@@ -60,10 +60,19 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
             if mask.any():
                 yield c, mask
 
-    def propagate(c, idx, dts):
-        """States of trajectories ``idx`` of channel ``c``, ``dts`` after t0; one column each."""
-        w = np.outer(kit.eigvals[c], dts)
-        np.exp(w, out=w)
+    def propagate(c, idx, dts, cols=None):
+        """States of trajectories ``idx`` of channel ``c``, ``dts`` after t0; one column each.
+
+        When every one of them is still at t0 = 0, ``dts`` are the grid times
+        at window columns ``cols``, whose factors the window's table holds
+        with the same bits (``t - 0.0`` is ``t``).  ``np.take`` keeps the
+        product's operand C-ordered, as ``np.outer`` makes it.
+        """
+        if cols is not None and not t0[idx].any():
+            w = np.take(table[c], cols, axis=1)
+        else:
+            w = np.outer(kit.eigvals[c], dts)
+            np.exp(w, out=w)
         w *= z[:, idx]
         return kit.eigvecs[c] @ w
 
@@ -110,8 +119,11 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
     ch_sum, sq_re, sq_im = np.zeros(shape, complex), np.zeros(shape), np.zeros(shape)
     # Per channel, the window's samples; zero where a trajectory is elsewhere.
     samples = np.zeros((kchan, nb, width, n2), complex)
+    flat = samples.reshape(kchan, nb * width, n2)  # sample (row, col) at row * width + col
     for w0 in range(0, tcount, width):
         w1 = min(w0 + width, tcount)
+        # exp(eigval * t) per channel at the window's grid times, (K, d**2, w1 - w0)
+        table = np.exp(np.multiply.outer(kit.eigvals, grid[w0:w1]))
         # Advance every trajectory to the window's end, writing its samples.
         while True:
             act = np.flatnonzero(g < w1)
@@ -123,10 +135,11 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
             cols = np.arange(rows.size) + np.repeat(g[act] - (np.cumsum(count) - count), count)
             dts = grid[cols] - t0[rows]
             cols -= w0
+            pos = rows * width + cols
             for c, m in by_channel(rows):
-                samples[c, rows[m], cols[m]] = propagate(c, rows[m], dts[m]).T
+                flat[c, pos[m]] = propagate(c, rows[m], dts[m], cols[m]).T
             at_start = np.flatnonzero(dts == 0.0)
-            samples[chan[rows[at_start]], rows[at_start], cols[at_start]] = y[rows[at_start]]
+            flat[chan[rows[at_start]], pos[at_start]] = y[rows[at_start]]
             g[act] = stop
             hop = act[(stop == g_end[act]) & (stop < tcount)]
             if hop.size:

@@ -22,6 +22,7 @@ from .config import (
     ModelSource,
     OutputTable,
     RunConfig,
+    _laplace_point,
     deterministic_table,
     emit_csv,
     load_config,
@@ -60,14 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _laplace_points(text: str) -> list[complex]:
-    """Parse ``--u``: comma-separated finite real Laplace points."""
+    """Parse ``--u``: comma-separated finite real Laplace points other than 0."""
     try:
         points = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise ConfigError("--u", f"expected comma-separated numbers, got {text!r}") from exc
-    if not all(np.isfinite(points)):
-        raise ConfigError("--u", f"Laplace points must be finite, got {text!r}")
-    return [complex(u, 0.0) for u in points]
+    return [_laplace_point(u, "--u") for u in points]
 
 
 def _load(args) -> RunConfig | None:
@@ -124,8 +123,9 @@ def _cmd_traj(config: RunConfig, args) -> int:
         return 1
     n = args.n or config.trajectories
     seed = args.seed if args.seed is not None else config.seed
-    if not n or seed is None:
-        print("traj requires --n and --seed (or config fields)", file=sys.stderr)
+    missing = [name for name, value in (("--n/$.trajectories", n), ("--seed/$.seed", seed)) if value is None]
+    if missing:
+        print(f"traj requires {' and '.join(missing)}", file=sys.stderr)
         return 1
     acc = run_ensemble(walk, config.initial_state, config.grid, n, seed)
     emit_csv(stochastic_table(acc), args.out or config.output)

@@ -86,6 +86,18 @@ def _complex_scalar(value, path: str) -> complex:
     return complex(re, im)
 
 
+def _laplace_point(value, path: str) -> complex:
+    """A Laplace point ``u``: a number or ``[re, im]`` pair, neither part a
+    boolean, and not 0, where the resolvent of every trace-preserving
+    generator has a pole."""
+    if any(isinstance(x, bool) for x in (value if isinstance(value, list) else [value])):
+        raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
+    u = _complex_scalar(value, path)
+    if u == 0:
+        raise ConfigError(path, "u = 0 is a pole of the resolvent of every trace-preserving generator")
+    return u
+
+
 def _matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value or not all(isinstance(row, list) for row in value):
         raise ConfigError(path, "expected a matrix as a list of rows")
@@ -316,7 +328,7 @@ def _parse_model(section, path: str) -> ModelSource:
     _check_keys(section, ("type", *_MODEL_KEYS[kind]), path)
     if kind == "preset":
         name = _require(section, "name", path)
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"{path}.name", f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         return ModelSource("preset", {"name": name})
     if kind == "rate":
@@ -395,7 +407,7 @@ def parse_config(text: str) -> RunConfig:
     psd_tol = _parse_tolerances(raw.get("tolerances", {}), "$.tolerances")
 
     kernel_u = _list(raw.get("kernel_u", []), "$.kernel_u")
-    kernel_points = [_complex_scalar(u, f"$.kernel_u[{i}]") for i, u in enumerate(kernel_u)]
+    kernel_points = [_laplace_point(u, f"$.kernel_u[{i}]") for i, u in enumerate(kernel_u)]
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("$.output", f"must be a file path string, got {output!r}")

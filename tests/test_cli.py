@@ -439,6 +439,14 @@ BAD_FIELDS = {
         "$.model.hamiltonian[0][1]:",
     ),
     "kernel-u-nan": ({"kernel_u": [1.5, float("nan")]}, "$.kernel_u[1]:"),
+    # an unhashable preset name used to end in a TypeError traceback
+    "preset-name-list": ({"model": {"type": "preset", "name": []}}, "$.model.name:"),
+    "preset-name-object": ({"model": {"type": "preset", "name": {}}}, "$.model.name:"),
+    # booleans used to run as u = 1 and u = 0; u = 0 is a pole of every resolvent
+    "kernel-u-bool": ({"kernel_u": [True, 2.0]}, "$.kernel_u[0]:"),
+    "kernel-u-bool-part": ({"kernel_u": [1.5, [2, False]]}, "$.kernel_u[1]:"),
+    "kernel-u-zero": ({"kernel_u": [1.5, 0]}, "$.kernel_u[1]: u = 0 is a pole"),
+    "kernel-u-zero-pair": ({"kernel_u": [[-0.0, 0.0]]}, "$.kernel_u[0]: u = 0 is a pole"),
 }
 
 
@@ -532,6 +540,35 @@ class TestCliCommands:
         assert main(["evolve", "--config", cfg, "--out", str(det)]) == 0
         det_header, _ = read_csv(det)
         assert not any(c.startswith("se_") for c in det_header)
+
+    @pytest.mark.parametrize(
+        "fields, argv, named",
+        [
+            ({}, [], "--n/$.trajectories and --seed/$.seed"),
+            ({"seed": 3}, [], "--n/$.trajectories"),
+            ({}, ["--seed", "3"], "--n/$.trajectories"),
+            ({"trajectories": 10}, [], "--seed/$.seed"),
+            ({}, ["--n", "10"], "--seed/$.seed"),
+        ],
+        ids=["neither", "config-seed", "flag-seed", "config-n", "flag-n"],
+    )
+    def test_traj_names_missing_count_or_seed(self, tmp_path, capsys, fields, argv, named):
+        # used to print "traj requires --n and --seed (or config fields)" for either
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **fields))
+        assert main(["traj", "--config", cfg, *argv]) == 1
+        assert capsys.readouterr().err == f"traj requires {named}\n"
+
+    def test_kernel_u_zero_exit_1_without_warning(self, tmp_path, capsys):
+        # u = 0 used to exit 3 with a scipy LinAlgWarning on stderr
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--preset", "fig2", "--u", "1,0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --u: u = 0 is a pole") and "Warning" not in err
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, kernel_u=[[0, 0]]))
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "$.kernel_u[0]: u = 0" in err and "Warning" not in err
+        assert not out.exists()
 
     def test_traj_bad_trajectories_without_engine_exit_1(self, tmp_path, capsys):
         # the field used to pass unchecked and escape from run_ensemble as a TypeError

@@ -1,8 +1,9 @@
 """Byte pins of the CLI output.
 
 Each command's stdout (the CSV table, or the ``stationary`` report) is
-pinned by its sha256, the preset commands recorded at commit ``dd006cb``
-and the two config commands at ``4c18cc9``.  A refactor that claims to
+pinned by its sha256, the first five preset commands recorded at commit
+``dd006cb``, the two config commands at ``4c18cc9`` and the two fig1
+``traj`` commands at ``95e051a``.  A refactor that claims to
 leave the output unchanged must keep every digest; a change that moves a
 byte on purpose updates the digest and says why.
 """
@@ -20,6 +21,10 @@ PINNED = {
     "kernel --preset fig2 --u 1.5,2,4": "82ca26da5f1693decad408333664373615e5091d23c759dfbfe494602cf254c7",
     "stationary --preset fig2": "872be742fe6be247581a1de5353cf8c3178dc29f6b84b3dfc447f98cc26e51a3",
     "example fig2 --n 500 --seed 1": "b1fa2064b0d24acb73d83b4a92eb08ce68f66dad04ceba1de87529a0d79f4eee",
+    # no transfers: every sample is taken before a trajectory's first jump
+    "traj --preset fig1-upper --n 500 --seed 9": "8fc8ad432dc4a89a97ca44a72eb116702057794bd7f006e57858926727ccf104",
+    # transfers: sampling products mix trajectories before and after a jump
+    "traj --preset fig1-lower --n 500 --seed 9": "8fbfa4e24c26dbda7c71caf25b358246fe92d9f36d09989a4d8681087a5aa402",
 }
 
 _SX = [[0, 1], [1, 0]]

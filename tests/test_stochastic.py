@@ -335,6 +335,30 @@ class TestRunEnsemble:
         for got, want in zip(_kernels.run_blocks(kit, n, 9), expected):
             assert np.array_equal(got, want)
 
+    def test_pre_transfer_samples_take_the_window_table(self, monkeypatch):
+        # fig1-upper never transfers, so every sample is taken at t0 = 0 and
+        # its factors come from the per-window tables: at most K * d**2 * width
+        # exponentials per window, not one set per trajectory and grid point
+        _, walk = dephasing_model(preset_params("fig1-upper"))
+        grid = np.linspace(0.0, 20.0, 201)
+        kit = _build_kit(walk, RHO_PLUS_X, grid)
+        assert not kit.escape.any()
+        k, n2 = kit.eigvals.shape
+        width = max(1, _kernels.WINDOW_BYTES // (16 * _kernels.BLOCK_SIZE * n2))
+        windows = -(-grid.size // width)
+        sizes = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        _kernels._run_block(kit, 0, 300, 4)
+        assert 0 < len(sizes) <= windows
+        assert max(sizes) <= k * n2 * width
+        assert sum(sizes) <= windows * k * n2 * width
+
     def test_trace_drift_raises_naming_trajectory(self):
         _, walk = dephasing_model(preset_params("fig2"))
         kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 10.0, 21))
