@@ -21,6 +21,7 @@ from .linalg import (
     vectorize,
 )
 from .model import (
+    CPValidationError,
     LindbladRateModel,
     MarkovDecayError,
     ModelStructureError,

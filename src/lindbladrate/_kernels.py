@@ -10,9 +10,12 @@ trajectories with one matrix product.
 Reproducibility: trajectory ``i`` consumes substream ``i`` of the master seed;
 grid samples are written to per-channel ``(B, W, d**2)`` window buffers and
 each cell ``(channel, grid point)`` sums its trajectories in index order;
-blocks of ``BLOCK_SIZE`` trajectories are added in index order.  No sum's
-order depends on anything but the inputs; the window width changes none of
-them (BLOCK_SIZE and WINDOW_BYTES are constants, not options).
+blocks of ``BLOCK_SIZE`` trajectories are added, in index order, to totals
+that start at zeros.  No sum's order depends on anything but the inputs; the
+window width changes none of them (BLOCK_SIZE and WINDOW_BYTES are constants,
+not options).  A channel that wrote fewer than half a block's rows in a window
+reduces just those rows: the rows it skips hold +0.0, which changes no sum but
+a -0.0 one, and the zero-started totals make that +0.0 as well.
 
 Trajectory semantics: the conditional state evolves under the channel
 self-propagator between exponentially distributed transfer events; each
@@ -73,7 +76,7 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
         else:
             w = np.outer(kit.eigvals[c], dts)
             np.exp(w, out=w)
-        w *= z[:, idx]
+        w *= np.take(z, idx, axis=1)
         return kit.eigvecs[c] @ w
 
     chan = np.searchsorted(kit.weights_cum, uniform(slice(None)))
@@ -100,13 +103,14 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
         for c, m in by_channel(idx):
             sel = idx[m]
             y[sel] = (kit.jump_ops[c] @ propagate(c, sel, t_jump[sel] - t0[sel])).T
-        tr = y[idx][:, diag_idx].sum(axis=1)
+        ys = y[idx]
+        tr = ys[:, diag_idx].sum(axis=1)
         bad = (np.abs(tr - 1.0) > 1e-10) | ~np.isfinite(tr)
         if bad.any():
             raise FloatingPointError(
                 f"trajectory {lo + idx[bad][0]}: non-finite state or trace drift beyond 1e-10"
             )
-        y[idx] = y[idx] / tr[:, None]
+        y[idx] = ys / tr[:, None]
         # The first column with u <= cum is never the source itself: its
         # entry repeats the previous column's (or is 0, and u > 0).
         u = uniform(idx)
@@ -120,6 +124,7 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
     # Per channel, the window's samples; zero where a trajectory is elsewhere.
     samples = np.zeros((kchan, nb, width, n2), complex)
     flat = samples.reshape(kchan, nb * width, n2)  # sample (row, col) at row * width + col
+    touched = np.zeros((kchan, nb), dtype=bool)  # rows each channel wrote in this window
     for w0 in range(0, tcount, width):
         w1 = min(w0 + width, tcount)
         # exp(eigval * t) per channel at the window's grid times, (K, d**2, w1 - w0)
@@ -136,21 +141,29 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
             dts = grid[cols] - t0[rows]
             cols -= w0
             pos = rows * width + cols
+            wrote = act[count > 0]
+            touched[chan[wrote], wrote] = True
             for c, m in by_channel(rows):
                 flat[c, pos[m]] = propagate(c, rows[m], dts[m], cols[m]).T
             at_start = np.flatnonzero(dts == 0.0)
-            flat[chan[rows[at_start]], pos[at_start]] = y[rows[at_start]]
+            if at_start.size:
+                flat[chan[rows[at_start]], pos[at_start]] = y[rows[at_start]]
             g[act] = stop
             hop = act[(stop == g_end[act]) & (stop < tcount)]
             if hop.size:
                 jump(hop)
-        # Every trajectory has passed the window: its cells are final.
+        # Every trajectory has passed the window: its cells are final.  A channel
+        # that wrote fewer than half the rows reduces just those, in index order.
         for c in range(kchan):
-            buf = samples[c, :, : w1 - w0]
+            written = np.flatnonzero(touched[c])
+            if 2 * written.size >= nb:
+                written = slice(None)
+            buf = samples[c, written, : w1 - w0]
             ch_sum[c, w0:w1] = buf.sum(axis=0)
             sq = np.square(buf.view(float)).sum(axis=0)
             sq_re[c, w0:w1], sq_im[c, w0:w1] = sq[:, 0::2], sq[:, 1::2]
-            buf.fill(0.0)
+            samples[c, written] = 0.0
+        touched.fill(False)
     return ch_sum, sq_re, sq_im
 
 

@@ -28,7 +28,7 @@ from .config import (
     load_config,
     stochastic_table,
 )
-from .model import validate_model
+from .model import CPValidationError, validate_model
 from .qubit import PRESETS, dephasing_model, h_of_t, preset_params
 from .solver import evolve, homogeneity_check, memory_kernel_at, stationary_state
 from .stochastic import run_ensemble
@@ -67,6 +67,15 @@ def _laplace_points(text: str) -> list[complex]:
     except ValueError as exc:
         raise ConfigError("--u", f"expected comma-separated numbers, got {text!r}") from exc
     return [_laplace_point(u, "--u") for u in points]
+
+
+def _trajectories_and_seed(config: RunConfig, args):
+    """``(n, seed, missing)``: flags over config fields, and the names of those unset."""
+    n = args.n or config.trajectories
+    seed = args.seed if args.seed is not None else config.seed
+    named = (("--n/$.trajectories", n), ("--seed/$.seed", seed))
+    missing = " and ".join(name for name, value in named if value is None)
+    return n, seed, missing
 
 
 def _load(args) -> RunConfig | None:
@@ -121,11 +130,9 @@ def _cmd_traj(config: RunConfig, args) -> int:
     if walk is None:
         print("traj requires a preset or walk-form model", file=sys.stderr)
         return 1
-    n = args.n or config.trajectories
-    seed = args.seed if args.seed is not None else config.seed
-    missing = [name for name, value in (("--n/$.trajectories", n), ("--seed/$.seed", seed)) if value is None]
+    n, seed, missing = _trajectories_and_seed(config, args)
     if missing:
-        print(f"traj requires {' and '.join(missing)}", file=sys.stderr)
+        print(f"traj requires {missing}", file=sys.stderr)
         return 1
     acc = run_ensemble(walk, config.initial_state, config.grid, n, seed)
     emit_csv(stochastic_table(acc), args.out or config.output)
@@ -171,6 +178,10 @@ def _cmd_example(config: RunConfig, args) -> int:
     if name is None:
         print("example requires a preset", file=sys.stderr)
         return 1
+    n, seed, missing = _trajectories_and_seed(config, args)
+    if missing and (n is not None or seed is not None):
+        print(f"example requires {missing} for the Monte Carlo columns", file=sys.stderr)
+        return 1
     params = preset_params(name)
     rate_model, walk = dephasing_model(params)
     grid = config.grid
@@ -183,8 +194,7 @@ def _cmd_example(config: RunConfig, args) -> int:
     engine_h = (result.system[:, 0, 1] / phi0).real
     columns = ["t", "h_closed", "h_engine", "abs_residual"]
     data = [grid, closed, engine_h, np.abs(engine_h - closed)]
-    n, seed = args.n or config.trajectories, args.seed if args.seed is not None else config.seed
-    if n and seed is not None:
+    if not missing:
         acc = run_ensemble(walk, config.initial_state, grid, n, seed)
         mc_h = (acc.system_estimate()[:, 0, 1] / phi0).real
         se_re, _ = acc.system_standard_error()
@@ -223,6 +233,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # only emit_csv touches files here
         print(f"output error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 1
+    except CPValidationError as exc:
+        print(f"{exc}; `lre validate` reports each block", file=sys.stderr)
+        return 2
     except (RuntimeError, FloatingPointError, ZeroDivisionError, ValueError) as exc:
         print(f"engine failure: {exc}", file=sys.stderr)
         return 3

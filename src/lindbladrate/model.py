@@ -42,6 +42,7 @@ __all__ = [
     "ValidationReport",
     "ModelStructureError",
     "MarkovDecayError",
+    "CPValidationError",
     "validate_model",
     "assemble_generator",
     "embed_channels",
@@ -62,6 +63,10 @@ class ModelStructureError(ValueError):
 
 class MarkovDecayError(ValueError):
     """Correlation samples have not decayed at the end of the time window."""
+
+
+class CPValidationError(ValueError):
+    """A model failed the complete-positivity block condition of :func:`validate_model`."""
 
 
 @dataclass
@@ -277,7 +282,7 @@ def assemble_generator(model: LindbladRateModel, validate: bool = True) -> Stack
         report = validate_model(model)
         if not report.passed:
             bad = ", ".join(str(b.tag) for b in report.failures())
-            raise ValueError(f"model failed CP validation (blocks: {bad or 'weights/hamiltonians'})")
+            raise CPValidationError(f"model failed CP validation (blocks: {bad or 'weights/hamiltonians'})")
     k, d = model.num_channels, model.dim
     n = d * d
     dops, fops = _dissipation_pieces(model.basis, model.blocks)

@@ -11,6 +11,7 @@ the memory kernel ``L(u)`` solving ``R(u) L(u) = (1| (u-G)^{-1} M |P)`` where
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +301,10 @@ def _reduced_solves(gen: StackedGenerator, u: complex, *rhs: np.ndarray) -> list
     import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
 
     try:
-        lu = scipy.linalg.lu_factor(u * np.eye(gen.matrix.shape[0]) - gen.matrix)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        with warnings.catch_warnings():  # an exactly zero pivot is a singular solve, not a warning
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(u * np.eye(gen.matrix.shape[0]) - gen.matrix)
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError) as exc:
         raise SingularSolveError(f"resolvent solve singular at u = {u}") from exc
     cols = [scipy.linalg.lu_solve(lu, b) for b in rhs]
     if not all(np.all(np.isfinite(c)) for c in cols):

@@ -558,8 +558,27 @@ class TestCliCommands:
         assert main(["traj", "--config", cfg, *argv]) == 1
         assert capsys.readouterr().err == f"traj requires {named}\n"
 
-    def test_kernel_u_zero_exit_1_without_warning(self, tmp_path, capsys):
-        # u = 0 used to exit 3 with a scipy LinAlgWarning on stderr
+    @pytest.mark.parametrize(
+        "fields, argv, named",
+        [
+            ({"seed": 3}, [], "--n/$.trajectories"),
+            ({}, ["--seed", "3"], "--n/$.trajectories"),
+            ({"trajectories": 10}, [], "--seed/$.seed"),
+            ({}, ["--n", "10"], "--seed/$.seed"),
+        ],
+        ids=["config-seed", "flag-seed", "config-n", "flag-n"],
+    )
+    def test_example_names_missing_count_or_seed(self, tmp_path, capsys, fields, argv, named):
+        # one of the two used to drop the Monte Carlo columns silently and exit 0
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **fields))
+        out = tmp_path / "example.csv"
+        assert main(["example", "fig2", "--config", cfg, *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"example requires {named} for the Monte Carlo columns\n"
+        assert not out.exists()
+
+    def test_kernel_u_zero_exit_1_without_warning(self, tmp_path, capsys, recwarn):
+        # u = 0 used to exit 3 with a scipy LinAlgWarning on stderr; pytest
+        # records warnings instead of printing them, so recwarn is the check
         out = tmp_path / "k.csv"
         assert main(["kernel", "--preset", "fig2", "--u", "1,0", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -569,6 +588,7 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "$.kernel_u[0]: u = 0" in err and "Warning" not in err
         assert not out.exists()
+        assert not recwarn.list
 
     def test_traj_bad_trajectories_without_engine_exit_1(self, tmp_path, capsys):
         # the field used to pass unchecked and escape from run_ensemble as a TypeError
@@ -689,6 +709,33 @@ class TestCliCommands:
     def test_missing_model_is_usage_error(self, capsys):
         assert main(["evolve"]) == 1
         assert "required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "kernel", "stationary"])
+    def test_failing_block_exit_2_naming_it(self, tmp_path, capsys, command):
+        # used to exit 3 as "engine failure: model failed CP validation"
+        payload = {
+            "model": {
+                "type": "rate",
+                "basis": [[[1, 0], [0, -1]]],
+                "weights": [0.5, 0.5],
+                "diagonal_blocks": [[[-0.3]], [[0.2]]],
+            },
+            "grid": {"stop": 1.0, "count": 3},
+        }
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "failed CP validation (blocks: (0, 0))" in err and "engine failure" not in err
+        assert not out.exists()
+
+    def test_singular_resolvent_exit_3_without_warning(self, tmp_path, capsys, recwarn):
+        # u = 1e-300 leaves u - G singular; scipy's LinAlgWarning used to reach stderr
+        assert main(["kernel", "--preset", "fig2", "--u", "1e-300"]) == 3
+        assert capsys.readouterr().err == "engine failure: resolvent solve singular at u = (1e-300+0j)\n"
+        assert not recwarn.list
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--preset", "fig2", "--u", "1e-9", "--out", str(out)]) == 0
+        assert not recwarn.list
 
     def test_engine_failure_exit_3(self, tmp_path, capsys):
         # kernel sample at a pole of the reduced propagator

@@ -2,8 +2,9 @@
 
 Each command's stdout (the CSV table, or the ``stationary`` report) is
 pinned by its sha256, the first five preset commands recorded at commit
-``dd006cb``, the two config commands at ``4c18cc9`` and the two fig1
-``traj`` commands at ``95e051a``.  A refactor that claims to
+``dd006cb``, the two config commands at ``4c18cc9``, the two fig1
+``traj`` commands at ``95e051a`` and the walk-rare and walk3 ``traj``
+commands at ``fd178dd``.  A refactor that claims to
 leave the output unchanged must keep every digest; a change that moves a
 byte on purpose updates the digest and says why.
 """
@@ -68,11 +69,32 @@ _RATE = {
     ],
 }
 _STATE = [[[0.7, 0], [0.2, -0.1]], [[0.2, 0.1], [0.3, 0]]]
+# _WALK without transfers and with channel 0 rare: in every window, channel 0
+# writes only a few of a block's rows, so only those are reduced.
+_WALK_RARE = {**_WALK, "hop_rates": [[0.0, 0.0], [0.0, 0.0]], "weights": [0.05, 0.95]}
+# Three dense channels with transfers.  Channel 2 drains into channel 0, so
+# along the log grid channel 0 goes from writing fewer than half of a block's
+# rows per window to more, and channel 2 the other way.
+_WALK3 = {
+    **_WALK,
+    "channel_dissipators": [*_WALK["channel_dissipators"], [[0.03, [0, 0.01]], [[0, -0.01], 0.08]]],
+    "hop_rates": [[0.0, 0.3, 1.2], [0.05, 0.0, 0.2], [0.02, 0.1, 0.0]],
+    "jump_kraus": [*_WALK["jump_kraus"], [[[0, 0.8], [0.8, 0]], [[[0, 0], [0, -0.6]], [[0, 0.6], [0, 0]]]]],
+    "weights": [0.1, 0.25, 0.65],
+}
 
 CONFIG_PINNED = {
     "traj walk --n 500 --seed 3": (
         {"model": _WALK, "initial_state": _STATE, "grid": {"stop": 10.0, "count": 51}},
         "a9e4260e8894b117420ef9c46f47ee9fe73054477e3664c2332d545f811dbf98",
+    ),
+    "traj walk-rare --n 700 --seed 5": (
+        {"model": _WALK_RARE, "initial_state": _STATE, "grid": {"stop": 10.0, "count": 51}},
+        "843aa103df2a9d98fb2a895bb5d350f21c3fe776b01eb2667203ad900e517187",
+    ),
+    "traj walk3 --n 1500 --seed 11": (
+        {"model": _WALK3, "initial_state": _STATE, "grid": {"stop": 8.0, "count": 81, "spacing": "log", "decades": 3}},
+        "1f0bbb91a460571ef06afd02cb1aa99457c0d39d55de3c91847adcdddb208b17",
     ),
     "evolve rate": (
         {"model": _RATE, "initial_state": _STATE, "grid": {"stop": 2.0, "count": 81, "spacing": "log"}},

@@ -359,6 +359,26 @@ class TestRunEnsemble:
         assert max(sizes) <= k * n2 * width
         assert sum(sizes) <= windows * k * n2 * width
 
+    def test_window_reduction_reads_only_the_rows_a_channel_wrote(self, monkeypatch):
+        # fig1-upper never transfers and starts 0.1 of its trajectories in
+        # channel 0, whose windows reduce just the rows it wrote: about 0.55
+        # of the buffer elements are squared, where the whole buffers hold 1.0
+        _, walk = dephasing_model(preset_params("fig1-upper"))
+        grid = np.linspace(0.0, 20.0, 201)
+        kit = _build_kit(walk, RHO_PLUS_X, grid)
+        k, n2 = kit.eigvals.shape
+        nb = 300
+        sizes = []
+        square = np.square
+
+        def counting_square(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return square(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "square", counting_square)
+        _kernels._run_block(kit, 0, nb, 4)
+        assert 0 < sum(sizes) <= 0.6 * k * nb * grid.size * 2 * n2
+
     def test_trace_drift_raises_naming_trajectory(self):
         _, walk = dephasing_model(preset_params("fig2"))
         kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 10.0, 21))
