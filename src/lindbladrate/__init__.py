@@ -17,7 +17,6 @@ from .linalg import (
     kraus_superop,
     min_eigenvalue,
     psd_check,
-    sandwich_superop,
     vectorize,
 )
 from .model import (
@@ -65,7 +64,6 @@ from .solver import (
     reduced_resolvent,
     stationary_projector,
     stationary_state,
-    system_state,
 )
 from .stochastic import (
     EnsembleAccumulator,

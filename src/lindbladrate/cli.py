@@ -29,7 +29,7 @@ from .config import (
     stochastic_table,
 )
 from .model import CPValidationError, validate_model
-from .qubit import PRESETS, dephasing_model, h_of_t, preset_params
+from .qubit import PRESETS, h_of_t
 from .solver import evolve, homogeneity_check, memory_kernel_at, stationary_state
 from .stochastic import run_ensemble
 
@@ -106,7 +106,7 @@ def _load(args) -> RunConfig | None:
 
 def _cmd_validate(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
-    report = validate_model(rate_model, psd_tol=config.psd_tol)
+    report = validate_model(rate_model)
     for blk in report.blocks:
         status = "PSD" if blk.is_psd else "NOT PSD"
         print(
@@ -120,7 +120,7 @@ def _cmd_validate(config: RunConfig, args) -> int:
 
 def _cmd_evolve(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
-    result = evolve(rate_model, config.initial_state, config.grid, psd_tol=config.psd_tol)
+    result = evolve(rate_model, config.initial_state, config.grid)
     emit_csv(deterministic_table(result), args.out or config.output)
     return 0
 
@@ -158,7 +158,7 @@ def _cmd_kernel(config: RunConfig, args) -> int:
 def _cmd_stationary(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
     analysis = solver.stationary_projector(rate_model)
-    rho_inf = stationary_state(analysis, config.initial_state, psd_tol=config.psd_tol)
+    rho_inf = stationary_state(analysis, config.initial_state)
     report = homogeneity_check(analysis)
     print(f"stationary state:\n{np.array_str(rho_inf, precision=10, suppress_small=True)}")
     print(f"homogeneity holds: {report.holds}")
@@ -182,15 +182,14 @@ def _cmd_example(config: RunConfig, args) -> int:
     if missing and (n is not None or seed is not None):
         print(f"example requires {missing} for the Monte Carlo columns", file=sys.stderr)
         return 1
-    params = preset_params(name)
-    rate_model, walk = dephasing_model(params)
-    grid = config.grid
-    closed = np.atleast_1d(h_of_t(params, grid))
-    result = evolve(rate_model, config.initial_state, grid)
     phi0 = config.initial_state[0, 1]
     if phi0 == 0:
         print("example requires an initial state with nonzero coherence", file=sys.stderr)
         return 1
+    rate_model, walk = config.model.build()
+    grid = config.grid
+    closed = np.atleast_1d(h_of_t(PRESETS[name], grid))
+    result = evolve(rate_model, config.initial_state, grid)
     engine_h = (result.system[:, 0, 1] / phi0).real
     columns = ["t", "h_closed", "h_engine", "abs_residual"]
     data = [grid, closed, engine_h, np.abs(engine_h - closed)]

@@ -160,6 +160,17 @@ def _check_channels(items: list, k: int, path: str) -> None:
         raise ConfigError(path, f"expected one entry per channel ({k} weights), got {len(items)}")
 
 
+def _parse_weights(value, path: str, k: int | None = None) -> np.ndarray:
+    """Channel weights: nonnegative, summing to 1, and ``k`` of them when the
+    channel count ``k`` comes from another field."""
+    weights = _real_vector(value, path)
+    if k is not None and weights.shape[0] != k:
+        raise ConfigError(path, f"expected {k} weights, one per channel, got {weights.shape[0]}")
+    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
+        raise ConfigError(path, f"weights must be nonnegative and sum to 1, got {weights.tolist()}")
+    return weights
+
+
 @dataclass
 class ModelSource:
     """Parsed ``model`` section; materialized lazily by :meth:`build`."""
@@ -197,11 +208,10 @@ class RunConfig:
     trajectories: int | None = None
     seed: int | None = None
     output: str | None = None
-    psd_tol: float = 1e-8
     kernel_points: list[complex] = field(default_factory=list)
 
 
-_TOP_LEVEL_KEYS = ("model", "initial_state", "grid", "engine", "trajectories", "seed", "output", "tolerances", "kernel_u")
+_TOP_LEVEL_KEYS = ("model", "initial_state", "grid", "engine", "trajectories", "seed", "output", "kernel_u")
 _DEFAULT_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # +x projector
 
 
@@ -238,16 +248,6 @@ def _check_keys(section, known: tuple[str, ...], path: str) -> None:
             raise ConfigError(f"{path}.{key}", f"unknown field; known fields: {', '.join(known)}")
 
 
-def _parse_tolerances(section, path: str) -> float:
-    """The ``psd`` tolerance: a finite number >= 0, 1e-8 by default."""
-    _check_keys(section, ("psd",), path)
-    value = section.get("psd", 1e-8)
-    psd = _finite_number(value)
-    if psd is None or psd < 0:
-        raise ConfigError(f"{path}.psd", f"must be a finite number >= 0, got {value!r}")
-    return psd
-
-
 def _parse_basis(section, path: str) -> OperatorBasis:
     ops = _matrix_list(section, path)
     for i, op in enumerate(ops):
@@ -261,9 +261,7 @@ def _parse_basis(section, path: str) -> OperatorBasis:
 def _parse_rate_model(section, path: str) -> LindbladRateModel:
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
     d, m = basis.dim, basis.size
-    weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
-        raise ConfigError(f"{path}.weights", f"weights must be nonnegative and sum to 1, got {weights.tolist()}")
+    weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
     k = weights.shape[0]
     dim_why, size_why = f"system dimension {d}", f"basis size {m}"
     diagonal = _sized_matrix_list(_require(section, "diagonal_blocks", path), m, size_why, f"{path}.diagonal_blocks")
@@ -298,7 +296,7 @@ def _parse_walk_model(section, path: str) -> StochasticModel:
     hop_rates = [_real_vector(row, f"{path}.hop_rates[{i}]") for i, row in enumerate(hop_rows)]
     kraus_sets = _list(_require(section, "jump_kraus", path), f"{path}.jump_kraus")
     kraus = [_sized_matrix_list(ops, d, dim_why, f"{path}.jump_kraus[{i}]") for i, ops in enumerate(kraus_sets)]
-    weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
+    weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
     k = weights.shape[0]
     _check_channels(dissipators, k, f"{path}.channel_dissipators")
     _check_channels(hop_rates, k, f"{path}.hop_rates")
@@ -348,7 +346,7 @@ def _parse_model(section, path: str) -> ModelSource:
             _check_keys(ent, ("u", "v", "block"), epath)
             u, v = (_pair(_require(ent, key, epath), k, f"{epath}.{key}") for key in ("u", "v"))
             b[u, v] = _sized_matrix(_require(ent, "block", epath), m, f"basis size {m}", f"{epath}.block")
-        weights = _real_vector(section["weights"], f"{path}.weights") if "weights" in section else None
+        weights = _parse_weights(section["weights"], f"{path}.weights", k) if "weights" in section else None
         try:
             return ModelSource("rate", {"rate": reduce_from_tripartite(b, k, basis, weights)})
         except ValueError as exc:
@@ -361,7 +359,7 @@ def _parse_model(section, path: str) -> ModelSource:
         h_sys = _sized_matrix(
             _require(section, "system_hamiltonian", path), d, f"system dimension {d}", f"{path}.system_hamiltonian"
         )
-        weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
+        weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
         try:
             blocks = build_from_correlations(chi, tau, h_sys, basis, section.get("quadrature", "simpson"))
             model = LindbladRateModel(basis, weights, blocks, None, h_sys)
@@ -404,8 +402,6 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError("$.seed", str(exc)) from exc
 
-    psd_tol = _parse_tolerances(raw.get("tolerances", {}), "$.tolerances")
-
     kernel_u = _list(raw.get("kernel_u", []), "$.kernel_u")
     kernel_points = [_laplace_point(u, f"$.kernel_u[{i}]") for i, u in enumerate(kernel_u)]
     output = raw.get("output")
@@ -413,7 +409,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("$.output", f"must be a file path string, got {output!r}")
 
     try:
-        _check_density(state, model.dim, psd_tol)
+        _check_density(state, model.dim)
     except ValueError as exc:
         raise ConfigError("$.initial_state", str(exc)) from exc
 
@@ -424,7 +420,6 @@ def parse_config(text: str) -> RunConfig:
         trajectories=trajectories,
         seed=seed,
         output=output,
-        psd_tol=psd_tol,
         kernel_points=kernel_points,
     )
 

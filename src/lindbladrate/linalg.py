@@ -14,11 +14,14 @@ import math
 
 import numpy as np
 
+# The one Hermitian-PSD rule (:func:`psd_check`) and every Hermiticity check use these.
+HERMITIAN_TOL = 1e-10  # bound on hermiticity_residual
+PSD_TOL = 1e-8  # min eigenvalue >= -PSD_TOL * max(1, |M|)
+
 __all__ = [
     "vectorize",
     "devectorize",
     "trace_vector",
-    "sandwich_superop",
     "coefficient_superop",
     "kraus_superop",
     "hamiltonian_superop",
@@ -60,11 +63,11 @@ def devectorize(vector: np.ndarray) -> np.ndarray:
     return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
-def trace_vector(dim: int, channels: int = 1) -> np.ndarray:
-    """Row vector implementing the (total) trace functional on vec'd states."""
+def trace_vector(dim: int) -> np.ndarray:
+    """Row vector implementing the trace functional on vec'd states."""
     tau = np.zeros(dim * dim, dtype=complex)
     tau[:: dim + 1] = 1.0
-    return np.tile(tau, channels)
+    return tau
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,15 +79,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     (p, q), (r, s) = a.shape, b.shape
     return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(p * r, q * s)
-
-
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of ``X -> A X B`` (column stacking: ``B.T kron A``)."""
-    a = _square(a, "A")
-    b = _square(b, "B")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    return _kron(b.T, a)
 
 
 def coefficient_superop(ops, coeffs) -> np.ndarray:
@@ -128,14 +122,6 @@ def hermiticity_residual(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(m - m.conj().T) / scale)
 
 
-def _require_hermitian(matrix: np.ndarray, tol: float, name: str) -> np.ndarray:
-    m = _square(matrix, name)
-    res = np.linalg.norm(m - m.conj().T)
-    if res > tol * np.linalg.norm(m):
-        raise ValueError(f"{name} is not Hermitian (residual {res:.3e})")
-    return m
-
-
 def min_eigenvalue(matrix: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part ``(M + M^dag) / 2`` of each
     matrix in ``(..., d, d)``; shape ``(...)``."""
@@ -143,16 +129,18 @@ def min_eigenvalue(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., 0]
 
 
-def psd_check(matrix: np.ndarray, tol: float = 1e-8):
-    """Test positive semidefiniteness of a Hermitian matrix.
+def psd_check(matrix: np.ndarray, tol: float = PSD_TOL):
+    """The Hermitian-PSD rule.
 
     Returns ``(is_psd, min_eig)``, with ``min_eig`` from
-    :func:`min_eigenvalue`; ``is_psd`` means
+    :func:`min_eigenvalue`; ``is_psd`` means Hermitian,
+    ``hermiticity_residual(M) <= HERMITIAN_TOL``, and
     ``min_eig >= -tol * max(1, |M|)``.
     """
-    m = _require_hermitian(matrix, 1e-10, "matrix")
+    m = _square(matrix, "matrix")
     min_eig = float(min_eigenvalue(m))
-    return min_eig >= -tol * max(1.0, np.linalg.norm(m)), min_eig
+    hermitian = hermiticity_residual(m) <= HERMITIAN_TOL
+    return hermitian and min_eig >= -tol * max(1.0, np.linalg.norm(m)), min_eig
 
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:

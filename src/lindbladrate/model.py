@@ -4,8 +4,8 @@ A model couples ``K`` auxiliary matrices.  Channel ``R`` carries an
 effective Hamiltonian ``H_R`` and a diagonal rate block ``a_R``; ordered
 channel pairs carry off-diagonal blocks ``a[R, R']`` feeding channel ``R``
 from channel ``R'``.  All blocks are ``m x m`` in the indices of a shared
-operator basis ``{V_alpha}`` and must be Hermitian and PSD for the solution
-map to be completely positive.  The stacked generator acts on the
+operator basis ``{V_alpha}``; all of them Hermitian and PSD is sufficient
+for the solution map to be completely positive.  The stacked generator acts on the
 channel-major vector ``(vec rho_0, ..., vec rho_{K-1})``, which
 :func:`embed_channels` (the weighted embedding ``|P)``) builds and
 :func:`sum_channels` (the channel sum ``(1|``) reduces; its block ``(R, R)``
@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
+    PSD_TOL,
     anticommutator_superop,
     coefficient_superop,
     hamiltonian_superop,
@@ -55,6 +57,9 @@ __all__ = [
 ]
 
 GRAM_CONDITION_LIMIT = 1e8
+STRUCTURE_TOL = 1e-10  # pair-off-diagonal tripartite coefficients, relative to max(1, max |b|)
+DECAY_TOL = 1e-8  # correlation tail at the window's end, relative to its peak
+PROJECTION_TOL = 1e-8  # residual of an operator expanded in a basis, relative to max(1, |op|)
 
 
 class ModelStructureError(ValueError):
@@ -218,33 +223,27 @@ class ValidationReport:
         return [b for b in self.blocks if not b.is_psd]
 
 
-def validate_model(model: LindbladRateModel, psd_tol: float = 1e-8, herm_tol: float = 1e-10) -> ValidationReport:
-    """Check complete positivity requirements block by block.
+def validate_model(model: LindbladRateModel) -> ValidationReport:
+    """Check the sufficient complete-positivity condition block by block.
 
-    Every diagonal and off-diagonal block must be Hermitian and PSD in the
-    basis indices, the weights nonnegative and normalized, and the channel
-    Hamiltonians Hermitian.  The report carries per-block residuals and
-    minimal eigenvalues so failures are attributable.
+    Every diagonal and off-diagonal block must pass :func:`psd_check` in
+    the basis indices, the weights be nonnegative and normalized, and the
+    channel Hamiltonians Hermitian.  The report carries per-block residuals
+    and minimal eigenvalues so failures are attributable.
     """
     reports = []
-    all_psd = True
     for tag in np.ndindex(model.blocks.shape[:2]):
         block = model.blocks[tag]
-        res = hermiticity_residual(block)
-        if res > herm_tol:
-            reports.append(BlockReport(tag, res, float(min_eigenvalue(block)), False))
-            all_psd = False
-            continue
-        ok, min_eig = psd_check(block, psd_tol)
-        reports.append(BlockReport(tag, res, min_eig, ok))
-        all_psd = all_psd and ok
+        ok, min_eig = psd_check(block)
+        reports.append(BlockReport(tag, hermiticity_residual(block), min_eig, ok))
+    all_psd = all(b.is_psd for b in reports)
     wsum = float(model.weights.sum())
     wpos = bool(np.all(model.weights >= 0))
     hres = max(
         hermiticity_residual(model.system_hamiltonian),
         max(hermiticity_residual(h) for h in model.hamiltonians),
     )
-    passed = all_psd and wpos and abs(wsum - 1.0) <= 1e-10 and hres <= herm_tol
+    passed = all_psd and wpos and abs(wsum - 1.0) <= 1e-10 and hres <= HERMITIAN_TOL
     return ValidationReport(reports, wsum, wpos, hres, passed)
 
 
@@ -322,17 +321,17 @@ def _grid_array(grid) -> np.ndarray:
     return t
 
 
-def _check_density(rho: np.ndarray, dim: int, psd_tol: float) -> np.ndarray:
+def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"state must be {(dim, dim)}, got {rho.shape}")
-    if hermiticity_residual(rho) > 1e-10:
+    if hermiticity_residual(rho) > HERMITIAN_TOL:
         raise ValueError("initial state is not Hermitian")
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"initial state trace {tr} is not 1")
     min_eig = float(min_eigenvalue(rho))
-    if min_eig < -psd_tol:
+    if min_eig < -PSD_TOL:
         raise ValueError(f"initial state has negative eigenvalue {min_eig:.3e}")
     return rho
 
@@ -343,7 +342,6 @@ def reduce_from_tripartite(
     basis: OperatorBasis,
     weights=None,
     hamiltonians=None,
-    tol: float = 1e-10,
 ) -> LindbladRateModel:
     """Reduce tripartite dissipation coefficients to a rate model.
 
@@ -358,16 +356,15 @@ def reduce_from_tripartite(
     b = np.asarray(b, dtype=complex)
     if b.shape != (k * k, k * k, m, m):
         raise ValueError(f"b must have shape {(k * k, k * k, m, m)}, got {b.shape}")
-    big = b.transpose(0, 2, 1, 3).reshape(k * k * m, k * k * m)
-    scale = max(1.0, float(np.abs(b).max()))
-    if np.linalg.norm(big - big.conj().T) > tol * scale * big.shape[0]:
+    if hermiticity_residual(b.transpose(0, 2, 1, 3).reshape(k * k * m, k * k * m)) > HERMITIAN_TOL:
         raise ModelStructureError("coefficient set is not Hermitian in the joint (pair, basis) index")
+    scale = max(1.0, float(np.abs(b).max()))
     for u in range(k * k):
         for v in range(k * k):
             if u == v:
                 continue
             off = float(np.abs(b[u, v]).max())
-            if off > tol * scale:
+            if off > STRUCTURE_TOL * scale:
                 pair_u, pair_v = divmod(u, k), divmod(v, k)
                 raise ModelStructureError(
                     f"pair-off-diagonal coefficients at (u, v) = ({pair_u}, {pair_v}) "
@@ -389,8 +386,6 @@ def build_from_correlations(
     system_hamiltonian: np.ndarray,
     basis: OperatorBasis,
     quadrature: str = "simpson",
-    decay_tol: float = 1e-8,
-    projection_tol: float = 1e-8,
 ) -> np.ndarray:
     """Half-line integrals of projected correlations into rate blocks.
 
@@ -427,14 +422,14 @@ def build_from_correlations(
             if peak == 0.0:
                 continue
             tail = float(np.abs(chi[r, rp, -1]).max())
-            if tail > decay_tol * peak:
+            if tail > DECAY_TOL * peak:
                 raise MarkovDecayError(
                     f"correlations of pair ({r}, {rp}) retain {tail / peak:.3e} of their "
                     f"peak at the end of the window; the local-in-time reduction is invalid"
                 )
 
     hs = np.asarray(system_hamiltonian, dtype=complex)
-    if hermiticity_residual(hs) > 1e-10:
+    if hermiticity_residual(hs) > HERMITIAN_TOL:
         raise ValueError("system Hamiltonian must be Hermitian")
     w, u = np.linalg.eigh(0.5 * (hs + hs.conj().T))
 
@@ -446,7 +441,7 @@ def build_from_correlations(
         for beta in range(m):
             evolved = left @ basis.ops[beta] @ right
             c, resid = basis.expand(evolved)
-            if resid > projection_tol * max(1.0, np.linalg.norm(basis.ops[beta])):
+            if resid > PROJECTION_TOL * max(1.0, np.linalg.norm(basis.ops[beta])):
                 raise ValueError(
                     f"evolved basis operator {beta} leaves the basis span at tau={t} "
                     f"(projection residual {resid:.3e})"
@@ -467,18 +462,16 @@ def build_from_correlations(
     return blocks
 
 
-def decompose_random_lindblad(model: LindbladRateModel, atol: float = 0.0):
+def decompose_random_lindblad(model: LindbladRateModel):
     """Split a fully decoupled model into independent Lindblad generators.
 
     When every off-diagonal block vanishes the evolution is a statistical
     mixture: ``rho_S(t) = sum_R P_R exp(t L_R)[rho_S(0)]``.  Returns
     ``(generators, weights)`` in that case and ``None`` (refusal) whenever
-    any off-diagonal block is nonzero beyond ``atol``.
+    any off-diagonal block has a nonzero entry.
     """
     k = model.num_channels
-    for r in range(k):
-        for rp in range(k):
-            if r != rp and np.abs(model.blocks[r, rp]).max() > atol:
-                return None
+    if np.any(model.blocks[~np.eye(k, dtype=bool)]):
+        return None
     gens = [channel_generator(model, r) for r in range(k)]
     return gens, model.weights.copy()

@@ -36,13 +36,17 @@ __all__ = [
     "DefectiveSpectrumError",
     "SingularSolveError",
     "evolve",
-    "system_state",
     "stationary_projector",
     "homogeneity_check",
     "reduced_resolvent",
     "memory_kernel_at",
     "stationary_state",
 ]
+
+ZERO_TOL = 1e-9  # zero cluster: |lambda| < ZERO_TOL * max(1, |G|_2)
+HOMOGENEITY_TOL = 1e-9  # the reduced stationary map vanishes when no entry exceeds this
+RESIDUAL_TOL = 1e-8  # kernel solve residual, relative to max(1, |rhs|)
+CROSS_TOL = 1e-6  # largest entry of spectral minus long-time stationary state
 
 
 class SolverError(RuntimeError):
@@ -179,17 +183,12 @@ def _propagate_exact(gen: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.n
     return out
 
 
-def evolve(
-    model: LindbladRateModel,
-    rho0: np.ndarray,
-    grid,
-    psd_tol: float = 1e-8,
-) -> EvolutionResult:
+def evolve(model: LindbladRateModel, rho0: np.ndarray, grid) -> EvolutionResult:
     """Evolve the stacked state over a time grid starting at 0 with the exact
     exponential (see :func:`_propagate_exact`)."""
     times = _grid_array(grid)
     gen = assemble_generator(model)
-    y0 = embed_channels(model.weights, vectorize(_check_density(rho0, model.dim, psd_tol)))
+    y0 = embed_channels(model.weights, vectorize(_check_density(rho0, model.dim)))
     ys = _propagate_exact(gen.matrix, y0, times)
     return _package_result(times, ys, gen.num_channels)
 
@@ -203,20 +202,12 @@ def _package_result(times: np.ndarray, ys: np.ndarray, k: int) -> EvolutionResul
     return EvolutionResult(times, stacked, system, trace_res, herm_res, min_eigenvalue(system))
 
 
-def system_state(result: EvolutionResult, t: float) -> np.ndarray:
-    """The physical state ``sum_R rho_R(t)`` at an exact grid time."""
-    hits = np.nonzero(np.isclose(result.times, t, rtol=1e-12, atol=1e-12))[0]
-    if hits.size == 0:
-        raise ValueError(f"t = {t} is not on the evolution grid")
-    return result.system[hits[0]]
-
-
-def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> StationaryProjector:
+def stationary_projector(model_or_generator) -> StationaryProjector:
     """Spectral analysis of a model or stacked generator (see
     :class:`StationaryProjector`).
 
     Uses a sorted complex Schur form; the zero cluster collects eigenvalues
-    with ``|lambda| < zero_tol * max(1, |G|)``.  A non-vanishing restriction
+    with ``|lambda| < ZERO_TOL * max(1, |G|_2)``.  A non-vanishing restriction
     of G to that cluster means a defective (Jordan) zero sector, which is
     refused rather than approximated.
     """
@@ -224,7 +215,7 @@ def stationary_projector(model_or_generator, zero_tol: float = 1e-9) -> Stationa
     g = gen.matrix
     n_total = g.shape[0]
     scale = max(1.0, float(np.linalg.norm(g, 2)))
-    thr = zero_tol * scale
+    thr = ZERO_TOL * scale
     import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
 
     tmat, q, sdim = scipy.linalg.schur(g, output="complex", sort=lambda lam: abs(lam) < thr)
@@ -270,8 +261,9 @@ def _sector_indices(dim: int):
     return pop, coh
 
 
-def homogeneity_check(model_or_analysis, tol: float = 1e-9) -> HomogeneityReport:
-    """Test whether the reduced stationary map vanishes.
+def homogeneity_check(model_or_analysis) -> HomogeneityReport:
+    """Test whether the reduced stationary map vanishes (no entry above
+    ``HOMOGENEITY_TOL``).
 
     The convolution form of the reduced dynamics is valid without an
     initial-state term exactly when this map is zero.  Models that conserve
@@ -291,7 +283,7 @@ def homogeneity_check(model_or_analysis, tol: float = 1e-9) -> HomogeneityReport
     order = np.argsort(flat)[::-1][:4]
     largest = [(int(i // mat.shape[1]), int(i % mat.shape[1]), complex(mat.flat[i])) for i in order]
     coh_norm = float(np.linalg.norm(mat[coh, :]))
-    holds = float(np.abs(mat).max()) <= tol
+    holds = float(np.abs(mat).max()) <= HOMOGENEITY_TOL
     return HomogeneityReport(holds, coh_norm, sectors, largest, mat)
 
 
@@ -318,12 +310,7 @@ def reduced_resolvent(model_or_generator, u: complex) -> np.ndarray:
     return _reduced_solves(gen, u, embed_channels(gen.weights, np.eye(gen.dim * gen.dim)))[0]
 
 
-def memory_kernel_at(
-    model_or_analysis,
-    u: complex,
-    homogeneity_tol: float = 1e-9,
-    residual_tol: float = 1e-8,
-) -> KernelSample:
+def memory_kernel_at(model_or_analysis, u: complex) -> KernelSample:
     """Sample the Laplace-domain memory kernel at one point.
 
     Takes a model or its :func:`stationary_projector` (built from the model,
@@ -332,7 +319,8 @@ def memory_kernel_at(
 
     Solves ``R(u) L(u) = (1| (u-G)^{-1} M |P)`` as a linear system
     (never by inverting the reduced propagator; conditioning is reported).
-    When the reduced stationary map is nonzero the defining relation is
+    When the reduced stationary map is nonzero (the opposite of
+    :func:`homogeneity_check`'s verdict) the defining relation is
     first shifted by its ``u -> 0`` singular part and the sample is flagged
     ``shifted``.  The shifted system is rank deficient along the stationary
     directions; that gauge freedom is resolved by picking, among its exact
@@ -345,7 +333,7 @@ def memory_kernel_at(
     n = proj.dim * proj.dim
     resolvent, rhs_plain = _reduced_solves(proj.generator, u, proj.embedding, proj.memory_embedding)
 
-    shifted = float(np.abs(proj.reduced_map).max()) > homogeneity_tol
+    shifted = float(np.abs(proj.reduced_map).max()) > HOMOGENEITY_TOL
     lhs, rhs = resolvent, rhs_plain
     if shifted:
         lhs = resolvent - proj.reduced_map / u
@@ -361,7 +349,7 @@ def memory_kernel_at(
         raise SingularSolveError(f"reduced propagator vanishes at u = {u}")
     kernel = right_h[:rank].conj().T @ ((left[:, :rank].conj().T @ rhs) / sv[:rank, None])
     residual = float(np.linalg.norm(lhs @ kernel - rhs))
-    if residual > residual_tol * max(1.0, np.linalg.norm(rhs)):
+    if residual > RESIDUAL_TOL * max(1.0, np.linalg.norm(rhs)):
         raise SingularSolveError(
             f"reduced propagator is singular at u = {u} (inconsistent system, residual {residual:.3e})"
         )
@@ -373,28 +361,22 @@ def memory_kernel_at(
     return KernelSample(u, kernel, shifted, condition, rank, residual)
 
 
-def stationary_state(
-    model_or_analysis,
-    rho0: np.ndarray,
-    cross_check: bool = True,
-    cross_tol: float = 1e-6,
-    psd_tol: float = 1e-8,
-) -> np.ndarray:
+def stationary_state(model_or_analysis, rho0: np.ndarray) -> np.ndarray:
     """Stationary physical state reached from ``rho0``.
 
     Computed spectrally from the stationary projector; by construction it
     may depend on the initial state.  The state ``expm(t G) y0`` at
     ``t = 20 / |Re lambda_2|`` (slowest decaying nonzero mode, read off the
-    Schur diagonal) cross-checks the spectral result.  ``rho0`` must be a
-    ``(d, d)`` density matrix (PSD within ``psd_tol``), as in :func:`evolve`;
+    Schur diagonal) cross-checks the spectral result within ``CROSS_TOL``.
+    ``rho0`` must be a ``(d, d)`` density matrix, as in :func:`evolve`;
     otherwise ``ValueError`` is raised.
     """
     proj = _as_analysis(model_or_analysis)
     gen = proj.generator
-    vec0 = vectorize(_check_density(rho0, gen.dim, psd_tol))
+    vec0 = vectorize(_check_density(rho0, gen.dim))
     stat = devectorize(proj.reduced_map @ vec0)
     slowest = proj.slowest_rate()
-    if cross_check and slowest is not None:
+    if slowest is not None:
         if slowest > -1e-12 * proj.scale:
             raise SolverError("non-decaying modes present; no stationary limit")
         t_relax = 20.0 / abs(slowest)
@@ -402,7 +384,7 @@ def stationary_state(
 
         y_end = scipy.linalg.expm(t_relax * gen.matrix) @ embed_channels(gen.weights, vec0)
         rho_end = devectorize(sum_channels(y_end, gen.num_channels))
-        if np.abs(rho_end - stat).max() > cross_tol:
+        if np.abs(rho_end - stat).max() > CROSS_TOL:
             raise SolverError(
                 f"spectral stationary state disagrees with long-time integration "
                 f"by {np.abs(rho_end - stat).max():.3e}"

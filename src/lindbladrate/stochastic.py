@@ -20,8 +20,16 @@ import numpy as np
 
 from . import _kernels
 from ._rng import check_seed
-from .linalg import devectorize, hamiltonian_superop, hermiticity_residual, kraus_superop, trace_vector, vectorize
-from .model import LindbladRateModel, OperatorBasis, _check_density, _grid_array, dissipator_superop
+from .linalg import (
+    HERMITIAN_TOL,
+    devectorize,
+    hamiltonian_superop,
+    hermiticity_residual,
+    kraus_superop,
+    trace_vector,
+    vectorize,
+)
+from .model import PROJECTION_TOL, LindbladRateModel, OperatorBasis, _check_density, _grid_array, dissipator_superop
 
 __all__ = [
     "StochasticModel",
@@ -55,7 +63,7 @@ class StochasticModel:
         self.hop_rates = np.asarray(self.hop_rates, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         k = self.weights.shape[0]
-        if self.hamiltonian.shape != (d, d) or hermiticity_residual(self.hamiltonian) > 1e-10:
+        if self.hamiltonian.shape != (d, d) or hermiticity_residual(self.hamiltonian) > HERMITIAN_TOL:
             raise ValueError("hamiltonian must be a Hermitian (d, d) matrix")
         if self.dissipator_blocks.shape != (k, m, m):
             raise ValueError(f"dissipator_blocks must be {(k, m, m)}")
@@ -219,17 +227,13 @@ def run_ensemble(
         raise ValueError("n must be >= 1")
     master_seed = check_seed(master_seed)
     times = _grid_array(grid)
-    rho0 = _check_density(rho0, model.dim, 1e-8)
+    rho0 = _check_density(rho0, model.dim)
     kit = _build_kit(model, rho0, times)
     sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed)
     return EnsembleAccumulator(times, sums, sq_re, sq_im, n, model.dim)
 
 
-def convert_walk_to_rate_model(
-    model: StochasticModel,
-    basis: OperatorBasis,
-    projection_tol: float = 1e-8,
-) -> LindbladRateModel:
+def convert_walk_to_rate_model(model: StochasticModel, basis: OperatorBasis) -> LindbladRateModel:
     """Express a Walk-class model as a Lindblad rate model.
 
     The feed block of the ordered pair (R <- R') is the source jump map's
@@ -244,7 +248,7 @@ def convert_walk_to_rate_model(
         coeffs = []
         for op in model.kraus_maps[r]:
             c, resid = basis.expand(np.asarray(op, dtype=complex))
-            if resid > projection_tol * max(1.0, np.linalg.norm(op)):
+            if resid > PROJECTION_TOL * max(1.0, np.linalg.norm(op)):
                 raise ValueError(
                     f"Kraus operator of channel {r} is not expandable in the basis "
                     f"(projection residual {resid:.3e})"
@@ -258,7 +262,7 @@ def convert_walk_to_rate_model(
         change = np.empty((model.basis.size, m), dtype=complex)
         for alpha in range(model.basis.size):
             c, resid = basis.expand(model.basis.ops[alpha])
-            if resid > projection_tol * max(1.0, np.linalg.norm(model.basis.ops[alpha])):
+            if resid > PROJECTION_TOL * max(1.0, np.linalg.norm(model.basis.ops[alpha])):
                 raise ValueError(f"model basis operator {alpha} is not expandable in the target basis")
             change[alpha] = c
         diag = np.stack([change.T @ model.dissipator_blocks[r] @ change.conj() for r in range(k)])

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import lindbladrate
-from lindbladrate import solver
+from lindbladrate import cli, solver
 from lindbladrate.cli import main
-from lindbladrate.config import _CSV_ROWS, ConfigError, OutputTable, _matrix, emit_csv, parse_config
+from lindbladrate.config import _CSV_ROWS, ConfigError, ModelSource, OutputTable, _matrix, emit_csv, parse_config
 
 BASE_CONFIG = {
     "model": {"type": "preset", "name": "fig2"},
@@ -292,13 +292,14 @@ _TRIPARTITE_K1 = {"type": "tripartite", "basis": [[[1, 0], [0, -1]]], "channels"
 _LOG_GRID = {"stop": 10.0, "count": 41, "spacing": "log"}
 BAD_FIELDS = {
     "state-dim-mismatch": ({"initial_state": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "$.initial_state:"),
-    "psd-string": ({"tolerances": {"psd": "abc"}}, "$.tolerances.psd:"),
-    "tolerances-list": ({"tolerances": []}, "$.tolerances:"),
-    "rtol-null": ({"tolerances": {"rtol": None}}, "$.tolerances.rtol:"),
-    "psd-negative": ({"tolerances": {"psd": -1}}, "$.tolerances.psd:"),
+    # no key sets a tolerance: each check has one fixed tolerance
+    "psd-string": ({"tolerances": {"psd": "abc"}}, "$.tolerances: unknown field"),
+    "tolerances-list": ({"tolerances": []}, "$.tolerances: unknown field"),
+    "rtol-null": ({"tolerances": {"rtol": None}}, "$.tolerances: unknown field"),
+    "psd-negative": ({"tolerances": {"psd": -1}}, "$.tolerances: unknown field"),
     "kernel-u-string": ({"kernel_u": "abc"}, "$.kernel_u: expected a list"),
     "workers": ({"workers": 4}, "$.workers:"),
-    "rtol": ({"tolerances": {"rtol": 1e-9, "psd": 1e-8}}, "$.tolerances.rtol:"),
+    "rtol": ({"tolerances": {"rtol": 1e-9, "psd": 1e-8}}, "$.tolerances: unknown field"),
     "misspelt-key": ({"initial_sate": [[1, 0], [0, 0]]}, "$.initial_sate:"),
     "decades-string": ({"grid": dict(_LOG_GRID, decades="abc")}, "$.grid.decades:"),
     "decades-400": ({"grid": dict(_LOG_GRID, decades=400)}, "$.grid.decades:"),
@@ -306,6 +307,30 @@ BAD_FIELDS = {
     "stop-infinity": ({"grid": {"stop": float("inf"), "count": 41}}, "$.grid.stop:"),
     "stop-true": ({"grid": {"stop": True, "count": 41}}, "$.grid.stop:"),
     "rate-weights-string": ({"model": dict(_RATE_K2, weights="abc")}, "$.model.weights:"),
+    # weights summing to 1.1: walk named only $.model, tripartite and correlations exited 2 as a CP failure
+    "rate-weights-sum": ({"model": dict(_RATE_K2, weights=[0.5, 0.6])}, "$.model.weights: weights must be nonnegative"),
+    "walk-weights-sum": ({"model": dict(_WALK_K2, weights=[0.2, 0.9])}, "$.model.weights: weights must be nonnegative"),
+    "tripartite-weights-sum": (
+        {"model": dict(_TRIPARTITE_K1, b=[], weights=[1.1])},
+        "$.model.weights: weights must be nonnegative",
+    ),
+    "tripartite-weights-count": (
+        {"model": dict(_TRIPARTITE_K1, b=[], weights=[0.5, 0.5])},
+        "$.model.weights: expected 1 weights, one per channel, got 2",
+    ),
+    "correlations-weights-sum": (
+        {
+            "model": {
+                "type": "correlations",
+                "basis": [[[1, 0], [0, -1]]],
+                "tau": [0.0, 1.0, 2.0],
+                "chi": [[[[[0.0]], [[0.0]], [[0.0]]]]],
+                "system_hamiltonian": [[0, 0], [0, 0]],
+                "weights": [1.1],
+            }
+        },
+        "$.model.weights: weights must be nonnegative",
+    ),
     "correlations-tau-string": (
         {"model": {"type": "correlations", "basis": [[[1, 0], [0, -1]]], "tau": "abc"}},
         "$.model.tau:",
@@ -525,6 +550,29 @@ class TestCliCommands:
             header, rows = read_csv(out)
             assert rows[:, header.index("abs_residual")].max() < 1e-7
 
+    def test_example_zero_coherence_refused_before_evolve(self, tmp_path, capsys, monkeypatch):
+        # the refusal used to come after a full deterministic evolution
+        calls = []
+        monkeypatch.setattr(cli, "evolve", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, initial_state=[[1, 0], [0, 0]]))
+        assert main(["example", "fig2", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "example requires an initial state with nonzero coherence\n"
+        assert calls == []
+
+    def test_example_builds_its_models_once(self, tmp_path, monkeypatch):
+        # wrapped on the class, as perfbench/tracing.py does; example used to
+        # build the preset a second time outside it
+        builds = []
+        original = ModelSource.build
+
+        def counted(self):
+            builds.append(self.kind)
+            return original(self)
+
+        monkeypatch.setattr(ModelSource, "build", counted)
+        assert main(["example", "fig2", "--n", "50", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 0
+        assert builds == ["preset"]
+
     def test_traj_outputs_se_columns_and_is_reproducible(self, tmp_path):
         payload = dict(BASE_CONFIG, engine="stochastic", trajectories=400, seed=7)
         cfg = write_config(tmp_path, payload)
@@ -626,14 +674,31 @@ class TestCliCommands:
         assert "--u" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_stationary_honours_loosened_psd_tolerance(self, tmp_path, capsys):
-        # eigenvalue -1e-6: outside the default tolerance 1e-8, inside a loosened one
-        state = [[0.5, 0.500001], [0.500001, 0.5]]
-        cfg = write_config(tmp_path, dict(BASE_CONFIG, initial_state=state))
-        assert main(["stationary", "--config", cfg]) == 1
-        assert "$.initial_state" in capsys.readouterr().err
-        loose = dict(BASE_CONFIG, initial_state=state, tolerances={"psd": 1e-5})
-        assert main(["stationary", "--config", write_config(tmp_path, loose, "loose.json")]) == 0
+    @pytest.mark.parametrize("command", ["validate", "evolve", "traj", "example"])
+    def test_tolerances_key_exit_1_naming_it(self, tmp_path, capsys, command):
+        # tolerances.psd used to reach validate, evolve and stationary but not traj or example
+        payload = dict(BASE_CONFIG, trajectories=10, seed=1, tolerances={"psd": 1e-5})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert "$.tolerances: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "evolve", "stationary"])
+    def test_block_hermitian_within_rounding_runs(self, tmp_path, capsys, command):
+        # residual 2.8e-12 passed the report's check, then psd_check's stricter
+        # one raised "matrix is not Hermitian" and every command exited 3
+        payload = {
+            "model": {
+                "type": "rate",
+                "basis": [[[0, 1], [1, 0]], [[0, [0, -1]], [[0, 1], 0]]],
+                "weights": [1.0],
+                "diagonal_blocks": [[[1e-3, [0, 1e-12]], [[0, 1e-12], 1e-3]]],
+            },
+            "grid": {"stop": 1.0, "count": 3},
+        }
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_non_psd_initial_state_exit_1(self, tmp_path, capsys):
         # trace 1 and Hermitian, but eigenvalue -0.5: used to exit 3 from the engine
@@ -644,7 +709,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("extra, field", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
     def test_bad_config_field_exit_1_naming_it(self, tmp_path, capsys, extra, field):
         # a 3x3 state on the qubit preset used to exit 3 from a matmul, the
-        # tolerance, grid, model and output cases ended in tracebacks, exit 3
+        # grid, model and output cases ended in tracebacks, exit 3
         # or silent acceptance, a kernel_u string was walked as if it were a
         # list, and unknown keys (workers, rtol, misspellings) did nothing
         cfg = write_config(tmp_path, dict(BASE_CONFIG, **extra))

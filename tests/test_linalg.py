@@ -11,7 +11,6 @@ from lindbladrate.linalg import (
     kraus_superop,
     min_eigenvalue,
     psd_check,
-    sandwich_superop,
     trace_vector,
     vectorize,
 )
@@ -74,11 +73,13 @@ class TestMinEigenvalue:
 
 
 class TestSandwich:
+    """``vec(A X B) = (B.T kron A) vec(X)``, the column-stacking identity, on ``_kron``."""
+
     def test_identity_pair(self):
-        np.testing.assert_allclose(sandwich_superop(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_allclose(_kron(np.eye(2).T, np.eye(2)), np.eye(4))
 
     def test_sigma_z_flips_offdiagonals(self):
-        s = sandwich_superop(SIGMA_Z, SIGMA_Z)
+        s = _kron(SIGMA_Z.T, SIGMA_Z)
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(devectorize(s @ vectorize(x)), [[1, -2], [-3, 4]], atol=1e-14)
 
@@ -87,12 +88,8 @@ class TestSandwich:
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            lhs = devectorize(sandwich_superop(a, b) @ vectorize(x))
+            lhs = devectorize(_kron(b.T, a) @ vectorize(x))
             np.testing.assert_allclose(lhs, a @ x @ b, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sandwich_superop(np.eye(2), np.eye(3))
 
 
 class TestPsdCheck:
@@ -111,6 +108,19 @@ class TestPsdCheck:
         ok, min_eig = psd_check(np.outer(v, v.conj()))
         assert ok
         assert min_eig >= -1e-12
+
+    def test_non_hermitian_is_not_psd(self):
+        # used to raise "matrix is not Hermitian" instead of answering
+        ok, min_eig = psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert not ok
+        assert min_eig == pytest.approx(0.5)
+
+    def test_hermitian_within_rounding_is_psd(self):
+        # residual 2.8e-12 is below 1e-10 * max(1, |M|); it used to be
+        # judged against 1e-10 * |M| = 1.4e-13 and raise
+        ok, min_eig = psd_check(np.array([[1e-3, 1e-12j], [1e-12j, 1e-3]]))
+        assert ok
+        assert min_eig == pytest.approx(1e-3)
 
 
 class TestSuperopHelpers:
@@ -156,9 +166,7 @@ class TestSuperopHelpers:
         coeffs = rng.normal(size=(2, 5, 5)) + 1j * rng.normal(size=(2, 5, 5))
         superops = coefficient_superop(ops, coeffs)
         for b in range(2):
-            expected = sum(
-                coeffs[b, a, g] * sandwich_superop(ops[a], ops[g].conj().T) for a in range(5) for g in range(5)
-            )
+            expected = sum(coeffs[b, a, g] * _kron(ops[g].conj(), ops[a]) for a in range(5) for g in range(5))
             np.testing.assert_allclose(superops[b], expected, atol=1e-12)
 
 

@@ -73,6 +73,17 @@ class TestValidateModel:
         model = LindbladRateModel.from_blocks(basis, [1.0], np.zeros((1, 1, 1)))
         assert validate_model(model).passed
 
+    @pytest.mark.parametrize("offdiagonal, passes", [(1e-12j, True), (1e-3j, False)], ids=["rounding", "anti-hermitian"])
+    def test_hermiticity_judged_once_relative_to_max_1_norm(self, pauli, offdiagonal, passes):
+        # the rounding case used to pass the report's own check and then raise
+        # "matrix is not Hermitian" from the PSD check's stricter one
+        sx, sy, _ = pauli
+        block = np.array([[1e-3, offdiagonal], [offdiagonal, 1e-3]])
+        report = validate_model(LindbladRateModel.from_blocks(OperatorBasis(np.array([sx, sy])), [1.0], block[None]))
+        assert report.passed is passes
+        assert report.blocks[0].is_psd == passes
+        assert report.blocks[0].hermiticity_residual == pytest.approx(2 * np.sqrt(2) * abs(offdiagonal))
+
 
 class TestAssembleGenerator:
     def test_single_channel_matches_direct_lindbladian(self, rng):
@@ -145,7 +156,7 @@ class TestAssembleGenerator:
     def test_total_trace_functional_annihilated(self, rng):
         model = random_rate_model(rng, d=2, k=3)
         gen = assemble_generator(model)
-        tau = trace_vector(2, 3)
+        tau = np.tile(trace_vector(2), 3)
         assert np.linalg.norm(tau @ gen.matrix) < 1e-10 * max(1.0, np.linalg.norm(gen.matrix))
         for _ in range(100):
             x = rng.normal(size=12) + 1j * rng.normal(size=12)
