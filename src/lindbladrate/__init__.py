@@ -29,8 +29,6 @@ from .model import (
     ValidationReport,
     assemble_generator,
     build_from_correlations,
-    channel_generator,
-    decompose_random_lindblad,
     embed_channels,
     reduce_from_tripartite,
     sum_channels,
@@ -49,7 +47,6 @@ from .qubit import (
     depolarizing_stationary,
     h_of_t,
     h_of_u,
-    preset_params,
 )
 from .solver import (
     DefectiveSpectrumError,
@@ -61,7 +58,6 @@ from .solver import (
     evolve,
     homogeneity_check,
     memory_kernel_at,
-    reduced_resolvent,
     stationary_projector,
     stationary_state,
 )

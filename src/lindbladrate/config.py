@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import check_seed
-from .linalg import min_eigenvalue
+from .linalg import HERMITIAN_TOL, hermiticity_residual, min_eigenvalue
 from .model import LindbladRateModel, OperatorBasis, _check_density, build_from_correlations, reduce_from_tripartite
 from .qubit import PRESETS, dephasing_model
-from .stochastic import StochasticModel, convert_walk_to_rate_model
+from .stochastic import JumpMapError, StochasticModel, convert_walk_to_rate_model
 
 __all__ = ["ConfigError", "RunConfig", "OutputTable", "parse_config", "load_config", "emit_csv"]
 
@@ -151,6 +151,15 @@ def _sized_matrix(value, size: int, why: str, path: str) -> np.ndarray:
     return out
 
 
+def _hamiltonian(value, dim: int, path: str) -> np.ndarray:
+    """A Hermitian ``(dim, dim)`` matrix."""
+    out = _sized_matrix(value, dim, f"system dimension {dim}", path)
+    residual = hermiticity_residual(out)
+    if residual > HERMITIAN_TOL:
+        raise ConfigError(path, f"Hamiltonian is not Hermitian (residual {residual:.3e})")
+    return out
+
+
 def _sized_matrix_list(value, size: int, why: str, path: str) -> list[np.ndarray]:
     return [_sized_matrix(m, size, why, f"{path}[{i}]") for i, m in enumerate(_list(value, path))]
 
@@ -173,7 +182,7 @@ def _parse_weights(value, path: str, k: int | None = None) -> np.ndarray:
 
 @dataclass
 class ModelSource:
-    """Parsed ``model`` section; materialized lazily by :meth:`build`."""
+    """Parsed ``model`` section: a preset name, or the parsed rate model (and walk)."""
 
     kind: str  # preset | rate | walk | tripartite | correlations
     payload: dict
@@ -186,18 +195,13 @@ class ModelSource:
         """System dimension ``d`` of the model."""
         if self.kind == "preset":
             return 2  # every preset is a qubit reservoir
-        if self.kind == "walk":
-            return self.payload["walk"].dim
         return self.payload["rate"].dim
 
     def build(self):
         """Return ``(LindbladRateModel, StochasticModel | None)``."""
         if self.kind == "preset":
             return dephasing_model(PRESETS[self.payload["name"]])
-        if self.kind == "walk":
-            walk = self.payload["walk"]
-            return convert_walk_to_rate_model(walk, walk.basis), walk
-        return self.payload["rate"], None
+        return self.payload["rate"], self.payload.get("walk")
 
 
 @dataclass
@@ -263,7 +267,7 @@ def _parse_rate_model(section, path: str) -> LindbladRateModel:
     d, m = basis.dim, basis.size
     weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
     k = weights.shape[0]
-    dim_why, size_why = f"system dimension {d}", f"basis size {m}"
+    size_why = f"basis size {m}"
     diagonal = _sized_matrix_list(_require(section, "diagonal_blocks", path), m, size_why, f"{path}.diagonal_blocks")
     _check_channels(diagonal, k, f"{path}.diagonal_blocks")
     offdiag = {}
@@ -275,20 +279,22 @@ def _parse_rate_model(section, path: str) -> LindbladRateModel:
         offdiag[(r, rp)] = _sized_matrix(_require(ent, "block", epath), m, size_why, f"{epath}.block")
     hams = sys_h = None
     if "hamiltonians" in section:
-        hams = np.array(_sized_matrix_list(section["hamiltonians"], d, dim_why, f"{path}.hamiltonians"))
+        hams = _list(section["hamiltonians"], f"{path}.hamiltonians")
+        hams = np.array([_hamiltonian(h, d, f"{path}.hamiltonians[{i}]") for i, h in enumerate(hams)])
     if "system_hamiltonian" in section:
-        sys_h = _sized_matrix(section["system_hamiltonian"], d, dim_why, f"{path}.system_hamiltonian")
+        sys_h = _hamiltonian(section["system_hamiltonian"], d, f"{path}.system_hamiltonian")
     try:
         return LindbladRateModel.from_blocks(basis, weights, np.array(diagonal), offdiag, hams, sys_h)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_walk_model(section, path: str) -> StochasticModel:
+def _parse_walk_model(section, path: str) -> dict:
+    """The walk and its rate model, ``{"walk": ..., "rate": ...}``."""
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
     d, m = basis.dim, basis.size
     dim_why, size_why = f"system dimension {d}", f"basis size {m}"
-    hamiltonian = _sized_matrix(_require(section, "hamiltonian", path), d, dim_why, f"{path}.hamiltonian")
+    hamiltonian = _hamiltonian(_require(section, "hamiltonian", path), d, f"{path}.hamiltonian")
     dissipators = _sized_matrix_list(
         _require(section, "channel_dissipators", path), m, size_why, f"{path}.channel_dissipators"
     )
@@ -304,7 +310,10 @@ def _parse_walk_model(section, path: str) -> StochasticModel:
         _check_shape(row, (k,), f"one rate per channel, {k} weights", f"{path}.hop_rates[{i}]")
     _check_channels(kraus, k, f"{path}.jump_kraus")
     try:
-        return StochasticModel(basis, hamiltonian, dissipators, hop_rates, kraus, weights)
+        walk = StochasticModel(basis, hamiltonian, dissipators, hop_rates, kraus, weights)
+        return {"walk": walk, "rate": convert_walk_to_rate_model(walk, basis)}
+    except JumpMapError as exc:
+        raise ConfigError(f"{path}.jump_kraus[{exc.channel}]", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -332,7 +341,7 @@ def _parse_model(section, path: str) -> ModelSource:
     if kind == "rate":
         return ModelSource("rate", {"rate": _parse_rate_model(section, path)})
     if kind == "walk":
-        return ModelSource("walk", {"walk": _parse_walk_model(section, path)})
+        return ModelSource("walk", _parse_walk_model(section, path))
     if kind == "tripartite":
         basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
         k = _require(section, "channels", path)
@@ -355,10 +364,7 @@ def _parse_model(section, path: str) -> ModelSource:
         basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
         tau = _real_vector(_require(section, "tau", path), f"{path}.tau")
         chi = _require(section, "chi", path)  # nested number lists; build_from_correlations converts them
-        d = basis.dim
-        h_sys = _sized_matrix(
-            _require(section, "system_hamiltonian", path), d, f"system dimension {d}", f"{path}.system_hamiltonian"
-        )
+        h_sys = _hamiltonian(_require(section, "system_hamiltonian", path), basis.dim, f"{path}.system_hamiltonian")
         weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
         try:
             blocks = build_from_correlations(chi, tau, h_sys, basis, section.get("quadrature", "simpson"))

@@ -17,6 +17,7 @@ import numpy as np
 # The one Hermitian-PSD rule (:func:`psd_check`) and every Hermiticity check use these.
 HERMITIAN_TOL = 1e-10  # bound on hermiticity_residual
 PSD_TOL = 1e-8  # min eigenvalue >= -PSD_TOL * max(1, |M|)
+EIG_TOL = 1e-11  # eigendecomposition residual |V diag(w) V^-1 - G|, relative to max(1, |G|)
 
 __all__ = [
     "vectorize",
@@ -30,6 +31,7 @@ __all__ = [
     "min_eigenvalue",
     "psd_check",
     "choi_matrix",
+    "eig_factor",
 ]
 
 
@@ -162,3 +164,27 @@ def choi_matrix(superop: np.ndarray) -> np.ndarray:
     b = len(lead)
     order = (*range(b), b + 3, b + 1, b + 2, b)
     return s.reshape(*lead, d, d, d, d).transpose(order).reshape(*lead, d * d, d * d)
+
+
+def eig_factor(gen: np.ndarray):
+    """The diagonalization rule: ``(vals, vecs, inv)`` with
+    ``gen = vecs @ diag(vals) @ inv``, accepted only when that reconstruction
+    is within ``EIG_TOL * max(1, |gen|)``.
+
+    Raises ``np.linalg.LinAlgError`` naming the residual otherwise, and when
+    ``vecs`` is singular (residual ``inf``): near a defective generator the
+    eigenvectors are ill conditioned and their exponential is unreliable.
+    """
+    vals, vecs = np.linalg.eig(gen)
+    scale = max(1.0, np.linalg.norm(gen))
+    try:
+        inv = np.linalg.inv(vecs)
+        error = np.linalg.norm((vecs * vals) @ inv - gen)
+    except np.linalg.LinAlgError:  # singular eigenvector matrix
+        error = np.inf
+    if not error <= EIG_TOL * scale:
+        raise np.linalg.LinAlgError(
+            f"not reliably diagonalizable: eigendecomposition residual {error / scale:.3e} "
+            f"exceeds EIG_TOL = {EIG_TOL:g}"
+        )
+    return vals, vecs, inv

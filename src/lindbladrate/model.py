@@ -51,8 +51,6 @@ __all__ = [
     "sum_channels",
     "reduce_from_tripartite",
     "build_from_correlations",
-    "decompose_random_lindblad",
-    "channel_generator",
     "dissipator_superop",
 ]
 
@@ -265,13 +263,6 @@ def dissipator_superop(basis: OperatorBasis, block: np.ndarray) -> np.ndarray:
     return fop - anticommutator_superop(dop)
 
 
-def channel_generator(model: LindbladRateModel, channel: int) -> np.ndarray:
-    """Self-generator of one channel: ``-i[H_R, .] + F_R[.] - {D_R, .}``."""
-    return hamiltonian_superop(model.hamiltonians[channel]) + dissipator_superop(
-        model.basis, model.blocks[channel, channel]
-    )
-
-
 def assemble_generator(model: LindbladRateModel, validate: bool = True) -> StackedGenerator:
     """Build the dense stacked generator of a model.
 
@@ -461,17 +452,3 @@ def build_from_correlations(
             blocks[r, rp] = z.T + z.conj()
     return blocks
 
-
-def decompose_random_lindblad(model: LindbladRateModel):
-    """Split a fully decoupled model into independent Lindblad generators.
-
-    When every off-diagonal block vanishes the evolution is a statistical
-    mixture: ``rho_S(t) = sum_R P_R exp(t L_R)[rho_S(0)]``.  Returns
-    ``(generators, weights)`` in that case and ``None`` (refusal) whenever
-    any off-diagonal block has a nonzero entry.
-    """
-    k = model.num_channels
-    if np.any(model.blocks[~np.eye(k, dtype=bool)]):
-        return None
-    gens = [channel_generator(model, r) for r in range(k)]
-    return gens, model.weights.copy()

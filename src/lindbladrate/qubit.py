@@ -29,7 +29,6 @@ __all__ = [
     "DepolarizingParams",
     "QubitElements",
     "PRESETS",
-    "preset_params",
     "dephasing_model",
     "depolarizing_model",
     "h_of_u",
@@ -102,13 +101,6 @@ PRESETS: dict[str, DephasingParams] = {
     "fig1-lower": DephasingParams(0.1, 1.0, 1.0, 0.1, 0.1, 0.9),
     "fig2": DephasingParams(0.0, 0.0, 1.0, 0.1, 0.1, 0.9),
 }
-
-
-def preset_params(name: str) -> DephasingParams:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
 
 
 def dephasing_model(p: DephasingParams) -> tuple[LindbladRateModel, StochasticModel]:

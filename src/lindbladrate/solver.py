@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _kron, devectorize, hamiltonian_superop, min_eigenvalue, vectorize
+from .linalg import _kron, devectorize, eig_factor, hamiltonian_superop, min_eigenvalue, vectorize
 from .model import (
     LindbladRateModel,
     StackedGenerator,
@@ -38,7 +38,6 @@ __all__ = [
     "evolve",
     "stationary_projector",
     "homogeneity_check",
-    "reduced_resolvent",
     "memory_kernel_at",
     "stationary_state",
 ]
@@ -91,10 +90,10 @@ class StationaryProjector:
     """Spectral analysis of one stacked generator: the projector onto its zero
     eigenvalue and the parts of it that the spectral functions reuse.
 
-    ``stationary_state``, ``homogeneity_check``, ``memory_kernel_at`` and
-    ``reduced_resolvent`` accept it in place of a model, so a command that
-    builds it once validates, assembles and Schur-decomposes its generator
-    once.  The memory parts exist only when it was built from a model, whose
+    ``stationary_state``, ``homogeneity_check`` and ``memory_kernel_at``
+    accept it in place of a model, so a command that builds it once
+    validates, assembles and Schur-decomposes its generator once.  The
+    memory parts exist only when it was built from a model, whose
     system Hamiltonian fixes the split ``M = G - blockdiag(-i[H_S, .])``.
     """
 
@@ -128,7 +127,6 @@ class HomogeneityReport:
     holds: bool
     coherence_residual_norm: float
     sector_norms: dict[str, float]
-    largest_entries: list[tuple[int, int, complex]]
     reduced_map: np.ndarray
 
 
@@ -157,19 +155,14 @@ def _as_analysis(model_or_analysis) -> StationaryProjector:
 
 
 def _propagate_exact(gen: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States at all grid times via eigenpropagation, expm stepping as fallback."""
-    scale = max(1.0, np.linalg.norm(gen))
-    vals, vecs = np.linalg.eig(gen)
-    use_eig = False
+    """States at all grid times via eigenpropagation, expm stepping where
+    :func:`~lindbladrate.linalg.eig_factor` refuses the eigenbasis."""
     try:
-        inv = np.linalg.inv(vecs)
-        if np.linalg.norm((vecs * vals) @ inv - gen) <= 1e-11 * scale:
-            use_eig = True
+        vals, vecs, inv = eig_factor(gen)
     except np.linalg.LinAlgError:
         pass
-    if use_eig:
-        z0 = inv @ y0
-        return (np.exp(np.multiply.outer(times, vals)) * z0) @ vecs.T
+    else:
+        return (np.exp(np.multiply.outer(times, vals)) * (inv @ y0)) @ vecs.T
     import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
 
     out = np.empty((times.shape[0], y0.shape[0]), dtype=complex)
@@ -279,12 +272,9 @@ def homogeneity_check(model_or_analysis) -> HomogeneityReport:
         "coherence<-population": float(np.linalg.norm(mat[np.ix_(coh, pop)])),
         "coherence<-coherence": float(np.linalg.norm(mat[np.ix_(coh, coh)])),
     }
-    flat = np.abs(mat).ravel()
-    order = np.argsort(flat)[::-1][:4]
-    largest = [(int(i // mat.shape[1]), int(i % mat.shape[1]), complex(mat.flat[i])) for i in order]
     coh_norm = float(np.linalg.norm(mat[coh, :]))
     holds = float(np.abs(mat).max()) <= HOMOGENEITY_TOL
-    return HomogeneityReport(holds, coh_norm, sectors, largest, mat)
+    return HomogeneityReport(holds, coh_norm, sectors, mat)
 
 
 def _reduced_solves(gen: StackedGenerator, u: complex, *rhs: np.ndarray) -> list[np.ndarray]:
@@ -302,12 +292,6 @@ def _reduced_solves(gen: StackedGenerator, u: complex, *rhs: np.ndarray) -> list
     if not all(np.all(np.isfinite(c)) for c in cols):
         raise SingularSolveError(f"resolvent solve singular at u = {u}")
     return [sum_channels(c, gen.num_channels) for c in cols]
-
-
-def reduced_resolvent(model_or_generator, u: complex) -> np.ndarray:
-    """The ``d**2 x d**2`` map ``(1| (u - G)^{-1} |P)``."""
-    gen = _as_generator(model_or_generator)
-    return _reduced_solves(gen, u, embed_channels(gen.weights, np.eye(gen.dim * gen.dim)))[0]
 
 
 def memory_kernel_at(model_or_analysis, u: complex) -> KernelSample:

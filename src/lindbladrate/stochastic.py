@@ -23,6 +23,7 @@ from ._rng import check_seed
 from .linalg import (
     HERMITIAN_TOL,
     devectorize,
+    eig_factor,
     hamiltonian_superop,
     hermiticity_residual,
     kraus_superop,
@@ -37,6 +38,15 @@ __all__ = [
     "convert_walk_to_rate_model",
     "run_ensemble",
 ]
+
+
+class JumpMapError(ValueError):
+    """The jump map of ``channel`` is not trace preserving, or its Kraus
+    operators leave the basis span."""
+
+    def __init__(self, channel: int, message: str):
+        self.channel = channel
+        super().__init__(f"jump map of channel {channel} {message}")
 
 
 @dataclass
@@ -79,7 +89,7 @@ class StochasticModel:
         for r, kraus in enumerate(self.kraus_maps):
             total = sum(np.asarray(op, dtype=complex).conj().T @ np.asarray(op, dtype=complex) for op in kraus)
             if np.linalg.norm(total - eye) > 1e-10:
-                raise ValueError(f"jump map of channel {r} is not trace preserving")
+                raise JumpMapError(r, "is not trace preserving")
         tau = trace_vector(d)
         for r in range(k):
             gen = self.self_generator(r)
@@ -132,12 +142,10 @@ def _build_kit(model: StochasticModel, rho0: np.ndarray, grid: np.ndarray) -> _T
     eiginvs = np.empty((k, n, n), dtype=complex)
     jump_ops = np.empty((k, n, n), dtype=complex)
     for r in range(k):
-        gen = model.self_generator(r)
-        vals, vecs = np.linalg.eig(gen)
-        inv = np.linalg.inv(vecs)
-        if np.linalg.norm((vecs * vals) @ inv - gen) > 1e-9 * max(1.0, np.linalg.norm(gen)):
-            raise ValueError(f"self-generator of channel {r} is not reliably diagonalizable")
-        eigvals[r], eigvecs[r], eiginvs[r] = vals, vecs, inv
+        try:
+            eigvals[r], eigvecs[r], eiginvs[r] = eig_factor(model.self_generator(r))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"self-generator of channel {r} is {exc}; trajectories need its eigenbasis") from None
         jump_ops[r] = model.jump_superoperator(r)
     escape = model.escape_rates()
     trans_cum = np.zeros((k, k))
@@ -249,10 +257,7 @@ def convert_walk_to_rate_model(model: StochasticModel, basis: OperatorBasis) -> 
         for op in model.kraus_maps[r]:
             c, resid = basis.expand(np.asarray(op, dtype=complex))
             if resid > PROJECTION_TOL * max(1.0, np.linalg.norm(op)):
-                raise ValueError(
-                    f"Kraus operator of channel {r} is not expandable in the basis "
-                    f"(projection residual {resid:.3e})"
-                )
+                raise JumpMapError(r, f"has a Kraus operator not expandable in the basis (residual {resid:.3e})")
             coeffs.append(c)
         grams.append(sum(np.outer(c, c.conj()) for c in coeffs))
 

@@ -12,18 +12,17 @@ from lindbladrate.config import OutputTable, emit_csv
 from lindbladrate.linalg import vectorize
 from lindbladrate.model import (
     assemble_generator,
-    decompose_random_lindblad,
     reduce_from_tripartite,
     validate_model,
 )
 from lindbladrate.qubit import (
+    PRESETS,
     DepolarizingParams,
     dephasing_model,
     depolarizing_model,
     depolarizing_stationary,
     h_of_t,
     h_of_u,
-    preset_params,
     stationary_channel_traces,
 )
 from lindbladrate.solver import evolve, memory_kernel_at, stationary_projector, stationary_state
@@ -51,25 +50,25 @@ def _report(num, slug):
 
 @pytest.fixture(scope="module")
 def fig2_evolution():
-    model, _ = dephasing_model(preset_params("fig2"))
+    model, _ = dephasing_model(PRESETS["fig2"])
     return _register("fig2", evolve(model, RHO_PLUS_X, np.linspace(0.0, 100.0, 201)))
 
 
 @pytest.fixture(scope="module")
 def fig1_upper_evolution():
-    model, _ = dephasing_model(preset_params("fig1-upper"))
+    model, _ = dephasing_model(PRESETS["fig1-upper"])
     return _register("fig1-upper", evolve(model, RHO_PLUS_X, np.linspace(0.0, 20.0, 200)))
 
 
 @pytest.fixture(scope="module")
 def fig1_lower_evolution():
-    model, _ = dephasing_model(preset_params("fig1-lower"))
+    model, _ = dephasing_model(PRESETS["fig1-lower"])
     return _register("fig1-lower", evolve(model, RHO_PLUS_X, np.linspace(0.0, 20.0, 201)))
 
 
 @pytest.fixture(scope="module")
 def fig2_long_evolution():
-    model, _ = dephasing_model(preset_params("fig2"))
+    model, _ = dephasing_model(PRESETS["fig2"])
     return _register("fig2-long", evolve(model, RHO_PLUS_X, np.array([0.0, 200.0])))
 
 
@@ -81,7 +80,7 @@ def depol_evolution():
 
 @pytest.fixture(scope="module")
 def fig2_mc_runs():
-    _, walk = dephasing_model(preset_params("fig2"))
+    _, walk = dephasing_model(PRESETS["fig2"])
     grid = np.linspace(0.0, 20.0, 101)
     runs = {n: run_ensemble(walk, RHO_PLUS_X, grid, n, master_seed=7) for n in (500, 5000, 50000, 100000)}
     return grid, runs
@@ -122,7 +121,7 @@ def test_criterion_03_fig1_lower_negative_dip_and_bound(fig1_lower_evolution):
 def test_criterion_04_fig2_channel_traces(fig2_long_evolution):
     expected = stationary_channel_traces(1.0, 0.1)
     np.testing.assert_allclose(expected, [0.909090909, 0.090909090], atol=1e-8)
-    model, _ = dephasing_model(preset_params("fig2"))
+    model, _ = dephasing_model(PRESETS["fig2"])
     proj = stationary_projector(model)
     y0 = np.concatenate([p * vectorize(RHO_PLUS_X) for p in (0.1, 0.9)])
     stacked_inf = (proj.projector @ y0).reshape(2, 4)
@@ -135,7 +134,7 @@ def test_criterion_04_fig2_channel_traces(fig2_long_evolution):
 
 def test_criterion_05_monte_carlo_convergence(fig2_mc_runs):
     grid, runs = fig2_mc_runs
-    h_exact = h_of_t(preset_params("fig2"), grid)
+    h_exact = h_of_t(PRESETS["fig2"], grid)
 
     # visual artifact: n = 500 noisy tracking of the closed form
     h500, se500 = _mc_h_and_se(runs[500])
@@ -200,18 +199,18 @@ def test_criterion_08_random_lindblad_reduction():
     grid = np.array([0.0, 0.5, 1.5, 3.0])
     for trial in range(20):
         model = random_rate_model(rng, d=2, k=2, coupled=False)
-        gens, weights = decompose_random_lindblad(model)
+        gens = [lindblad_superop_oracle(model.hamiltonians[r], model.basis.ops, model.blocks[r, r]) for r in range(2)]
         rho0 = random_density(rng, 2)
         result = _register(f"decoupled-{trial}", evolve(model, rho0, grid))
         for i, t in enumerate(grid):
-            mixture = sum(w * (scipy.linalg.expm(t * g) @ vectorize(rho0)) for w, g in zip(weights, gens))
+            mixture = sum(w * (scipy.linalg.expm(t * g) @ vectorize(rho0)) for w, g in zip(model.weights, gens))
             assert np.abs(vectorize(result.system[i]) - mixture).max() <= 1e-10
     _report(8, "random-lindblad-reduction")
 
 
 def test_criterion_09_cp_validator():
     for name in ("fig1-upper", "fig1-lower", "fig2"):
-        model, _ = dephasing_model(preset_params(name))
+        model, _ = dephasing_model(PRESETS[name])
         assert validate_model(model).passed
     model, _ = depolarizing_model(DEPOL)
     assert validate_model(model).passed
@@ -246,7 +245,7 @@ def test_criterion_10_conservation_suite(
 
 
 def test_criterion_11_kernel_identity():
-    p = preset_params("fig1-upper")
+    p = PRESETS["fig1-upper"]
     model, _ = dephasing_model(p)
     for u in (0.5, 1.0, 2.0, 4.0):
         h = h_of_u(p, u)

@@ -34,11 +34,9 @@ API = {
     "ValidationReport": ("blocks", "weight_sum", "weights_nonnegative", "hamiltonian_residual", "passed"),
     "assemble_generator": ("model", "validate"),
     "build_from_correlations": ("chi", "tau", "system_hamiltonian", "basis", "quadrature"),
-    "channel_generator": ("model", "channel"),
     "choi_matrix": ("superop",),
     "convert_walk_to_rate_model": ("model", "basis"),
     "cp_bound_check": ("p", "grid"),
-    "decompose_random_lindblad": ("model",),
     "dephasing_kernel": ("p", "u"),
     "dephasing_model": ("p",),
     "dephasing_stationary": ("p", "rho0"),
@@ -54,10 +52,8 @@ API = {
     "kraus_superop": ("kraus_ops",),
     "memory_kernel_at": ("model_or_analysis", "u"),
     "min_eigenvalue": ("matrix",),
-    "preset_params": ("name",),
     "psd_check": ("matrix", "tol"),
     "reduce_from_tripartite": ("b", "num_channels", "basis", "weights", "hamiltonians"),
-    "reduced_resolvent": ("model_or_generator", "u"),
     "run_ensemble": ("model", "rho0", "grid", "n", "master_seed"),
     "stationary_projector": ("model_or_generator",),
     "stationary_state": ("model_or_analysis", "rho0"),

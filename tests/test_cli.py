@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lindbladrate
 from lindbladrate import cli, solver
@@ -472,7 +475,93 @@ BAD_FIELDS = {
     "kernel-u-bool-part": ({"kernel_u": [1.5, [2, False]]}, "$.kernel_u[1]:"),
     "kernel-u-zero": ({"kernel_u": [1.5, 0]}, "$.kernel_u[1]: u = 0 is a pole"),
     "kernel-u-zero-pair": ({"kernel_u": [[-0.0, 0.0]]}, "$.kernel_u[0]: u = 0 is a pole"),
+    # a non-Hermitian Hamiltonian used to exit 2 as "blocks: weights/hamiltonians", or name only $.model
+    "rate-hamiltonian-not-hermitian": (
+        {"model": dict(_RATE_K2, hamiltonians=[[[0, 0], [0, 0]], [[0, 1], [0, 0]]])},
+        "$.model.hamiltonians[1]: Hamiltonian is not Hermitian",
+    ),
+    "rate-system-hamiltonian-not-hermitian": (
+        {"model": dict(_RATE_K2, system_hamiltonian=[[0, [0, 1]], [[0, 1], 0]])},
+        "$.model.system_hamiltonian: Hamiltonian is not Hermitian",
+    ),
+    "correlations-system-hamiltonian-not-hermitian": (
+        {
+            "model": {
+                "type": "correlations",
+                "basis": [[[1, 0], [0, -1]]],
+                "tau": [0.0, 1.0, 2.0],
+                "chi": [[[[[0.0]], [[0.0]], [[0.0]]]]],
+                "system_hamiltonian": [[0, 1], [0, 0]],
+                "weights": [1.0],
+            }
+        },
+        "$.model.system_hamiltonian: Hamiltonian is not Hermitian",
+    ),
+    "walk-hamiltonian-not-hermitian": (
+        {"model": dict(_WALK_K2, hamiltonian=[[0, 1], [0, 0]])},
+        "$.model.hamiltonian: Hamiltonian is not Hermitian",
+    ),
+    # walk jump maps used to name only $.model, and a Kraus operator outside the basis span exited 3
+    "walk-jump-kraus-not-trace-preserving": (
+        {"model": dict(_WALK_K2, jump_kraus=[[[[1, 0], [0, 0]]], [[[1, 0], [0, -1]]]])},
+        "$.model.jump_kraus[0]: jump map of channel 0 is not trace preserving",
+    ),
+    "walk-jump-kraus-outside-basis": (
+        {"model": dict(_WALK_K2, jump_kraus=[[[[1, 0], [0, -1]]], [[[0, 1], [1, 0]]]])},
+        "$.model.jump_kraus[1]: jump map of channel 1 has a Kraus operator not expandable in the basis",
+    ),
 }
+
+
+def _exceptional_point_walk(w: float) -> dict:
+    """Basis {sigma_-, I}, decay 1 on sigma_- in both channels, H = (w/2) sigma_x
+    and identity jump maps; each self-generator is defective at w = 1/4."""
+    return {
+        "type": "walk",
+        "basis": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]],
+        "hamiltonian": [[0, w / 2], [w / 2, 0]],
+        "channel_dissipators": [[[1, 0], [0, 0]]] * 2,
+        "hop_rates": [[0.0, 1.0], [0.5, 0.0]],
+        "jump_kraus": [[[[1, 0], [0, 1]]]] * 2,
+        "weights": [0.5, 0.5],
+    }
+
+
+@pytest.mark.parametrize(
+    "w, digests",
+    [
+        (0.25, None),  # self-generator residual ~1e-8
+        (0.25 + 1e-12, None),  # ~4e-11: traj used to accept it while evolve took expm
+        (
+            1.0,  # sha256 of the evolve and traj CSVs, recorded at 23660be
+            (
+                "73bafb9416400c1c86635539108d6b36304d317fd64913d9c8ed6b38371dec8e",
+                "f09a007fb182b2ffa5db0a392be7a12a3959adf055778d6e8e401ab303f753e5",
+            ),
+        ),
+    ],
+)
+def test_evolve_and_traj_share_one_diagonalization_rule(tmp_path, capsys, monkeypatch, w, digests):
+    payload = {"model": _exceptional_point_walk(w), "grid": {"stop": 5.0, "count": 11}, "trajectories": 200, "seed": 5}
+    cfg = write_config(tmp_path, payload)
+    expm = scipy.linalg.expm
+    expm_calls = []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm_calls.append(a) or expm(a))
+    assert main(["evolve", "--config", cfg]) == 0
+    evolve_out = capsys.readouterr().out
+    traj_code = main(["traj", "--config", cfg])
+    traj_out, err = capsys.readouterr()
+    if digests is None:
+        assert expm_calls  # evolve stepped with expm
+        assert traj_code == 3
+        assert re.fullmatch(
+            r"engine failure: self-generator of channel 0 is not reliably diagonalizable: eigendecomposition "
+            r"residual \S+ exceeds EIG_TOL = 1e-11; trajectories need its eigenbasis\n",
+            err,
+        )
+    else:
+        assert expm_calls == [] and traj_code == 0 and err == ""
+        assert tuple(hashlib.sha256(out.encode()).hexdigest() for out in (evolve_out, traj_out)) == digests
 
 
 class TestCliCommands:
@@ -756,9 +845,9 @@ class TestCliCommands:
         assert main(["kernel", "--preset", "fig1-upper", "--u", "0.5,1,2,4", "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert rows.shape[0] == 4
-        from lindbladrate.qubit import h_of_u, preset_params
+        from lindbladrate.qubit import PRESETS, h_of_u
 
-        p = preset_params("fig1-upper")
+        p = PRESETS["fig1-upper"]
         for row in rows:
             u = row[header.index("u_re")]
             kappa = row[header.index("K_11_re")] + 1j * row[header.index("K_11_im")]

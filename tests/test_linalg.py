@@ -7,6 +7,7 @@ from lindbladrate.linalg import (
     choi_matrix,
     coefficient_superop,
     devectorize,
+    eig_factor,
     hamiltonian_superop,
     kraus_superop,
     min_eigenvalue,
@@ -121,6 +122,17 @@ class TestPsdCheck:
         ok, min_eig = psd_check(np.array([[1e-3, 1e-12j], [1e-12j, 1e-3]]))
         assert ok
         assert min_eig == pytest.approx(1e-3)
+
+
+class TestEigFactor:
+    def test_jordan_block_refused_naming_residual(self):
+        with pytest.raises(np.linalg.LinAlgError, match=r"residual \S+ exceeds EIG_TOL = 1e-11"):
+            eig_factor(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+
+    def test_singular_eigenvectors_refused(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eig", lambda g: (np.zeros(2), np.array([[1.0, 1.0], [0.0, 0.0]])))
+        with pytest.raises(np.linalg.LinAlgError, match="residual inf exceeds EIG_TOL"):
+            eig_factor(np.zeros((2, 2)))
 
 
 class TestSuperopHelpers:

@@ -9,14 +9,12 @@ from lindbladrate.model import (
     OperatorBasis,
     assemble_generator,
     build_from_correlations,
-    channel_generator,
-    decompose_random_lindblad,
     embed_channels,
     reduce_from_tripartite,
     sum_channels,
     validate_model,
 )
-from lindbladrate.qubit import DephasingParams, dephasing_model, preset_params
+from lindbladrate.qubit import PRESETS, DephasingParams, dephasing_model
 from lindbladrate.solver import evolve
 
 from conftest import (
@@ -111,7 +109,7 @@ class TestAssembleGenerator:
         # Channel-major blocks; in each 4x4 block only the vec diagonal is hit:
         # populations (vec 0, 3) hop without sign, coherences (vec 1, 2) decay
         # at gamma_R plus escape and pick up a sign flip on feeds.
-        p = preset_params("fig1-lower")
+        p = PRESETS["fig1-lower"]
         g_a, g_b, g_ab, g_ba = p.gamma_a, p.gamma_b, p.gamma_ab, p.gamma_ba
         expected = np.zeros((8, 8))
         for v in (0, 3):  # populations
@@ -328,21 +326,3 @@ class TestBuildFromCorrelations:
         with pytest.raises(ValueError, match="span"):
             build_from_correlations(chi, tau, sz.astype(complex), basis)
 
-
-class TestDecomposeRandomLindblad:
-    def test_decoupled_dephasing(self):
-        model, _ = dephasing_model(DephasingParams(0.1, 1.0, 0.0, 0.0, 0.1, 0.9))
-        gens, weights = decompose_random_lindblad(model)
-        assert len(gens) == 2
-        np.testing.assert_allclose(weights, [0.1, 0.9])
-        np.testing.assert_allclose(gens[0], channel_generator(model, 0))
-
-    def test_coupled_model_refused(self):
-        model, _ = dephasing_model(DephasingParams(0.1, 1.0, 1.0, 0.1, 0.1, 0.9))
-        assert decompose_random_lindblad(model) is None
-
-    def test_single_channel(self, rng):
-        model = random_rate_model(rng, d=3, k=1)
-        gens, weights = decompose_random_lindblad(model)
-        assert len(gens) == 1
-        assert weights[0] == pytest.approx(1.0)

@@ -14,7 +14,6 @@ from lindbladrate.qubit import (
     depolarizing_stationary,
     h_of_t,
     h_of_u,
-    preset_params,
     stationary_channel_traces,
 )
 from lindbladrate.solver import evolve, stationary_state
@@ -22,9 +21,9 @@ from lindbladrate.solver import evolve, stationary_state
 RHO_PLUS_X = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 ALL_PARAMS = [
-    preset_params("fig1-upper"),
-    preset_params("fig1-lower"),
-    preset_params("fig2"),
+    PRESETS["fig1-upper"],
+    PRESETS["fig1-lower"],
+    PRESETS["fig2"],
     DephasingParams(0.25, 0.6, 0.8, 0.45, 0.35, 0.65),
 ]
 
@@ -42,18 +41,18 @@ class TestHofU:
             assert u * h_of_u(p, u) == pytest.approx(1.0, abs=1e-6)
 
     def test_decoupled_form(self):
-        p = preset_params("fig1-upper")
+        p = PRESETS["fig1-upper"]
         for u in (0.2, 1.0, 3.0):
             expected = p.p_a / (u + p.gamma_a) + p.p_b / (u + p.gamma_b)
             assert h_of_u(p, u) == pytest.approx(expected, abs=1e-14)
 
     def test_fig2_small_u_limit(self):
-        p = preset_params("fig2")
+        p = PRESETS["fig2"]
         for u in (1e-7, 1e-9):
             assert u * h_of_u(p, u) == pytest.approx(-0.6545454545454545, abs=1e-6)
 
     def test_pole_raises(self):
-        p = preset_params("fig2")
+        p = PRESETS["fig2"]
         with pytest.raises(ZeroDivisionError):
             h_of_u(p, 0.0)
 
@@ -64,12 +63,12 @@ class TestHofT:
             assert h_of_t(p, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_fig1_lower_attains_negative_values(self):
-        p = preset_params("fig1-lower")
+        p = PRESETS["fig1-lower"]
         t = np.linspace(0.0, 20.0, 400)
         assert h_of_t(p, t).min() < -1e-3
 
     def test_fig2_stationary_value(self):
-        p = preset_params("fig2")
+        p = PRESETS["fig2"]
         expected = (p.p_a - p.p_b) * (p.gamma_ab - p.gamma_ba) / (p.gamma_ab + p.gamma_ba)
         assert expected == pytest.approx(-0.6545454545454545, abs=1e-12)
         assert h_of_t(p, 200.0) == pytest.approx(expected, abs=1e-10)
@@ -94,7 +93,7 @@ class TestCpBound:
     def test_presets_satisfy_bound(self):
         grid = np.linspace(0.0, 50.0, 2000)
         for name in PRESETS:
-            ok, max_h = cp_bound_check(preset_params(name), grid)
+            ok, max_h = cp_bound_check(PRESETS[name], grid)
             assert ok
             assert max_h == pytest.approx(1.0, abs=1e-12)  # attained at t = 0
 
@@ -122,7 +121,7 @@ class TestDephasingKernel:
     def test_identity_against_extracted_kernel(self):
         from lindbladrate.solver import memory_kernel_at
 
-        p = preset_params("fig1-upper")
+        p = PRESETS["fig1-upper"]
         model, _ = dephasing_model(p)
         for u in (0.5, 1.0, 2.0, 4.0):
             h = h_of_u(p, u)
@@ -135,7 +134,7 @@ class TestDephasingKernel:
 
 class TestDephasingModel:
     def test_decoupled_solution(self):
-        p = preset_params("fig1-upper")
+        p = PRESETS["fig1-upper"]
         model, _ = dephasing_model(p)
         grid = np.linspace(0.0, 20.0, 100)
         result = evolve(model, RHO_PLUS_X, grid)
@@ -164,7 +163,7 @@ class TestDephasingModel:
             assert np.abs(engine_h - h_of_t(p, grid)).max() < 1e-7
 
     def test_channel_traces_reach_hop_balance(self):
-        p = preset_params("fig2")
+        p = PRESETS["fig2"]
         model, _ = dephasing_model(p)
         t_end = 50.0 / (p.gamma_ab + p.gamma_ba)
         result = evolve(model, RHO_PLUS_X, np.array([0.0, t_end]))
@@ -175,7 +174,7 @@ class TestDephasingModel:
 
 class TestDephasingStationary:
     def test_fig2_value(self):
-        out = dephasing_stationary(preset_params("fig2"), RHO_PLUS_X)
+        out = dephasing_stationary(PRESETS["fig2"], RHO_PLUS_X)
         assert out.coh_plus.real / 0.5 == pytest.approx(-0.6545454545454545, abs=1e-12)
         assert out.pop_plus == pytest.approx(0.5)
 
@@ -197,7 +196,7 @@ class TestDephasingStationary:
 
     def test_per_channel_stationary_coherences(self):
         # each auxiliary matrix freezes at (P_R - P_other) * trace_R(inf) * coh(0)
-        p = preset_params("fig2")
+        p = PRESETS["fig2"]
         model, _ = dephasing_model(p)
         result = evolve(model, RHO_PLUS_X, np.array([0.0, 200.0]))
         traces = stationary_channel_traces(p.gamma_ab, p.gamma_ba)

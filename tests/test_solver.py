@@ -3,18 +3,18 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from lindbladrate.linalg import devectorize, hamiltonian_superop, vectorize
+from lindbladrate.linalg import devectorize, vectorize
 from lindbladrate.model import (
     LindbladRateModel,
     OperatorBasis,
     StackedGenerator,
     assemble_generator,
-    channel_generator,
-    decompose_random_lindblad,
+    dissipator_superop,
     embed_channels,
     sum_channels,
 )
 from lindbladrate.qubit import (
+    PRESETS,
     SIGMA_Z,
     DephasingParams,
     DepolarizingParams,
@@ -22,7 +22,6 @@ from lindbladrate.qubit import (
     depolarizing_model,
     depolarizing_stationary,
     h_of_u,
-    preset_params,
 )
 from lindbladrate import solver
 from lindbladrate.solver import (
@@ -32,12 +31,11 @@ from lindbladrate.solver import (
     evolve,
     homogeneity_check,
     memory_kernel_at,
-    reduced_resolvent,
     stationary_projector,
     stationary_state,
 )
 
-from conftest import apply_rate_equation, random_density, random_rate_model
+from conftest import apply_rate_equation, lindblad_superop_oracle, random_density, random_rate_model
 
 RHO_PLUS_X = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -72,7 +70,7 @@ class TestEvolve:
             assert result.system[i][0, 1] == pytest.approx(0.5 * np.exp(-2 * gamma * t), abs=1e-10)
 
     def test_fig1_lower_goes_negative(self):
-        model, _ = dephasing_model(preset_params("fig1-lower"))
+        model, _ = dephasing_model(PRESETS["fig1-lower"])
         result = evolve(model, RHO_PLUS_X, np.linspace(0, 20, 201))
         h = result.system[:, 0, 1].real / 0.5
         assert h.min() < -1e-3
@@ -80,8 +78,8 @@ class TestEvolve:
 
     def test_exact_and_rk_paths_agree(self, rng):
         cases = [
-            dephasing_model(preset_params("fig1-lower"))[0],
-            dephasing_model(preset_params("fig2"))[0],
+            dephasing_model(PRESETS["fig1-lower"])[0],
+            dephasing_model(PRESETS["fig2"])[0],
             depolarizing_model(DepolarizingParams(1.0, 0.1, 0.1, 0.9))[0],
             random_rate_model(rng, d=2, k=2),
         ]
@@ -137,13 +135,13 @@ class TestEvolve:
     def test_decoupled_equals_weighted_exponentials(self, rng):
         for _ in range(3):
             model = random_rate_model(rng, d=2, k=2, coupled=False)
-            gens, weights = decompose_random_lindblad(model)
+            gens = [lindblad_superop_oracle(model.hamiltonians[r], model.basis.ops, model.blocks[r, r]) for r in range(2)]
             rho0 = random_density(rng, 2)
             grid = np.linspace(0, 5, 11)
             result = evolve(model, rho0, grid)
             for i, t in enumerate(grid):
                 mix = sum(
-                    w * (scipy.linalg.expm(t * g) @ vectorize(rho0)) for w, g in zip(weights, gens)
+                    w * (scipy.linalg.expm(t * g) @ vectorize(rho0)) for w, g in zip(model.weights, gens)
                 )
                 np.testing.assert_allclose(vectorize(result.system[i]), mix, atol=1e-10)
 
@@ -164,7 +162,7 @@ class TestSystemState:
         np.testing.assert_allclose(result.system[0], rho0, atol=1e-12)
 
     def test_fig2_stationary_coherence(self):
-        model, _ = dephasing_model(preset_params("fig2"))
+        model, _ = dephasing_model(PRESETS["fig2"])
         result = evolve(model, RHO_PLUS_X, np.linspace(0, 100, 51))
         coh = result.system[-1][0, 1].real / 0.5
         assert coh == pytest.approx(-0.72 / 1.1, abs=1e-9)
@@ -190,14 +188,14 @@ class TestStationaryProjector:
         np.testing.assert_allclose(out_a, out_b, atol=1e-9)
 
     def test_fig2_coherence_component(self):
-        model, _ = dephasing_model(preset_params("fig2"))
+        model, _ = dephasing_model(PRESETS["fig2"])
         proj = stationary_projector(model)
         expected = (0.1 - 0.9) * (1.0 - 0.1) / 1.1
         for v in COH:
             assert proj.reduced_map[v, v].real == pytest.approx(expected, abs=1e-9)
 
     def test_fig1_lower_coherence_block_vanishes(self):
-        model, _ = dephasing_model(preset_params("fig1-lower"))
+        model, _ = dephasing_model(PRESETS["fig1-lower"])
         proj = stationary_projector(model)
         assert np.abs(proj.reduced_map[np.ix_(COH, COH)]).max() < 1e-9
 
@@ -216,7 +214,7 @@ class TestHomogeneity:
         assert not report.holds
 
     def test_fig2_fails_in_coherence_sector(self):
-        model, _ = dephasing_model(preset_params("fig2"))
+        model, _ = dephasing_model(PRESETS["fig2"])
         report = homogeneity_check(model)
         assert not report.holds
         assert report.coherence_residual_norm > 0.5
@@ -230,6 +228,12 @@ class TestHomogeneity:
         assert report.coherence_residual_norm < 1e-12
 
 
+def reduced_resolvent(model, u):
+    """The ``d**2 x d**2`` map ``(1| (u - G)^{-1} |P)`` from the solver's LU solves."""
+    gen = assemble_generator(model)
+    return solver._reduced_solves(gen, u, embed_channels(gen.weights, np.eye(gen.dim * gen.dim)))[0]
+
+
 class TestReducedResolvent:
     def test_large_u_asymptotics(self, rng):
         model = random_rate_model(rng, d=2, k=2)
@@ -240,7 +244,7 @@ class TestReducedResolvent:
             )
 
     def test_dephasing_coherence_equals_h(self):
-        p = preset_params("fig1-lower")
+        p = PRESETS["fig1-lower"]
         model, _ = dephasing_model(p)
         for u in (0.3, 1.0, 2.5):
             res = reduced_resolvent(model, u)
@@ -248,7 +252,7 @@ class TestReducedResolvent:
                 assert res[v, v] == pytest.approx(h_of_u(p, u), abs=1e-10)
 
     def test_dephasing_population_sector_is_1_over_u(self):
-        model, _ = dephasing_model(preset_params("fig1-lower"))
+        model, _ = dephasing_model(PRESETS["fig1-lower"])
         for u in (0.3, 1.0, 2.5):
             res = reduced_resolvent(model, u)
             for v in POP:
@@ -258,7 +262,7 @@ class TestReducedResolvent:
         model = random_rate_model(rng, d=2, k=2)
         gen = assemble_generator(model)
         u, v = 0.9 + 0.2j, 2.1 - 0.4j
-        lhs = reduced_resolvent(gen, u) - reduced_resolvent(gen, v)
+        lhs = reduced_resolvent(model, u) - reduced_resolvent(model, v)
         eye = np.eye(8)
         cols = np.linalg.solve(v * eye - gen.matrix, embed_channels(gen.weights, np.eye(4)))
         cols = np.linalg.solve(u * eye - gen.matrix, cols)
@@ -271,13 +275,13 @@ class TestMemoryKernel:
         for _ in range(3):
             model = random_rate_model(rng, d=2, k=1)
             model.system_hamiltonian = model.hamiltonians[0].copy()
-            dissipator = channel_generator(model, 0) - hamiltonian_superop(model.hamiltonians[0])
+            dissipator = dissipator_superop(model.basis, model.blocks[0, 0])
             samples = [memory_kernel_at(model, u) for u in (0.5, 1.3, 3.7)]
             for sample in samples:
                 assert np.abs(sample.kernel - dissipator).max() < 1e-9
 
     def test_dephasing_identity(self):
-        p = preset_params("fig1-upper")
+        p = PRESETS["fig1-upper"]
         model, _ = dephasing_model(p)
         for u in (0.5, 1.0, 2.0, 4.0):
             sample = memory_kernel_at(model, u)
@@ -286,7 +290,7 @@ class TestMemoryKernel:
                 assert abs(sample.kernel[v, v] * h - (u * h - 1.0)) < 1e-8
 
     def test_singular_at_h_zero(self):
-        p = preset_params("fig1-upper")
+        p = PRESETS["fig1-upper"]
         model, _ = dephasing_model(p)
         u_zero = -(p.p_a * p.gamma_b + p.p_b * p.gamma_a)  # root of h's numerator
         assert abs(h_of_u(p, u_zero)) < 1e-14
@@ -296,7 +300,7 @@ class TestMemoryKernel:
     def test_shift_flag_set_when_homogeneity_fails(self):
         # trace preservation forces a nonzero stationary map, so every valid
         # model extracts through the shifted relation
-        model, _ = dephasing_model(preset_params("fig2"))
+        model, _ = dephasing_model(PRESETS["fig2"])
         sample = memory_kernel_at(model, 1.0)
         assert sample.shifted
         assert not homogeneity_check(model).holds
@@ -311,7 +315,7 @@ class TestStationaryState:
         np.testing.assert_allclose(stationary_state(model, rho0), expected, atol=1e-9)
 
     def test_fig2_normalized_coherence(self):
-        model, _ = dephasing_model(preset_params("fig2"))
+        model, _ = dephasing_model(PRESETS["fig2"])
         rho_inf = stationary_state(model, RHO_PLUS_X)
         assert rho_inf[0, 1].real / 0.5 == pytest.approx(-0.6545454545454545, abs=1e-9)
 
@@ -322,7 +326,7 @@ class TestStationaryState:
 
     def test_cross_check_against_long_time_evolution(self):
         # exercised internally; also verify directly at t = 200
-        model, _ = dephasing_model(preset_params("fig2"))
+        model, _ = dephasing_model(PRESETS["fig2"])
         rho_inf = stationary_state(model, RHO_PLUS_X)
         result = evolve(model, RHO_PLUS_X, np.array([0.0, 200.0]))
         np.testing.assert_allclose(result.system[-1], rho_inf, atol=1e-8)
@@ -332,7 +336,7 @@ class TestStationaryState:
         np.testing.assert_allclose(stationary_state(_free_model(), rho0), rho0, atol=1e-12)
 
     def test_rho0_must_be_a_density_of_the_model(self):
-        model, _ = dephasing_model(preset_params("fig2"))
+        model, _ = dephasing_model(PRESETS["fig2"])
         analysis = stationary_projector(model)
         near_psd = np.array([[0.5, 0.500001], [0.500001, 0.5]])  # eigenvalue -1e-6
         for bad, match in ((np.eye(3) / 3, r"state must be \(2, 2\)"), (np.eye(2), "trace"), (near_psd, "negative")):
@@ -348,7 +352,7 @@ class TestSharedAnalysis:
 
     @staticmethod
     def _models(rng):
-        fig2, _ = dephasing_model(preset_params("fig2"))
+        fig2, _ = dephasing_model(PRESETS["fig2"])
         random44 = random_rate_model(rng, d=4, k=4)
         random44.system_hamiltonian = random44.hamiltonians[0].copy()
         return {"fig2": (fig2, (1.5, 2.0, 4.5)), "random(4,4)": (random44, (0.5, 1.3, 3.7))}

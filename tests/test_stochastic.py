@@ -8,12 +8,12 @@ from lindbladrate._rng import draw_u64, mix64, stream_key, to_unit
 from lindbladrate.linalg import kraus_superop, vectorize
 from lindbladrate.model import OperatorBasis, assemble_generator
 from lindbladrate.qubit import (
+    PRESETS,
     SIGMA_Z,
     DephasingParams,
     DepolarizingParams,
     dephasing_model,
     depolarizing_model,
-    preset_params,
 )
 from lindbladrate.solver import evolve
 from lindbladrate.stochastic import StochasticModel, _build_kit, convert_walk_to_rate_model, run_ensemble
@@ -73,7 +73,7 @@ class TestRngStreams:
 
 class TestConvertWalk:
     def test_dephasing_reproduces_auxiliary_equations(self):
-        p = preset_params("fig1-lower")
+        p = PRESETS["fig1-lower"]
         rate_model, walk = dephasing_model(p)
         converted = convert_walk_to_rate_model(walk, rate_model.basis)
         np.testing.assert_allclose(converted.blocks, rate_model.blocks, atol=1e-14)
@@ -109,7 +109,7 @@ class TestConvertWalk:
             convert_walk_to_rate_model(walk, bad_basis)
 
     def test_basis_change_congruence(self):
-        p = preset_params("fig1-lower")
+        p = PRESETS["fig1-lower"]
         rate_model, walk = dephasing_model(p)
         enlarged = OperatorBasis(np.array([np.eye(2, dtype=complex), SIGMA_Z]))
         converted = convert_walk_to_rate_model(walk, enlarged)
@@ -165,7 +165,7 @@ class TestSamplingPrimitives:
 
 class TestStepTrajectory:
     def test_dephasing_jump_flips_coherence(self):
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         state = TrajectoryState(1, RHO_PLUS_X.copy(), 0.0)
         stream = CounterStream(5, 0)
         new_state, events = step_trajectory(state, walk, stream, horizon=1e9)
@@ -209,7 +209,7 @@ class TestStepTrajectory:
         assert back.matrix[0, 1] == pytest.approx(-0.5)  # identity map of channel 1
 
     def test_trajectory_state_invariants(self):
-        _, walk = dephasing_model(preset_params("fig1-lower"))
+        _, walk = dephasing_model(PRESETS["fig1-lower"])
         stream = CounterStream(9, 0)
         state = TrajectoryState(init_channel(walk.weights, stream), RHO_PLUS_X.copy(), 0.0)
         for _ in range(200):
@@ -219,7 +219,7 @@ class TestStepTrajectory:
 
     def test_occupation_sojourns_are_markov(self):
         # one long realization; completed sojourns per channel pass KS
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         stream = CounterStream(1234, 0)
         state = TrajectoryState(init_channel(walk.weights, stream), RHO_PLUS_X.copy(), 0.0)
         sojourns = {0: [], 1: []}
@@ -269,7 +269,7 @@ def assert_same_sums(acc, other):
 
 
 WALK_CASES = {
-    "fig2": (dephasing_model(preset_params("fig2"))[1], RHO_PLUS_X),
+    "fig2": (dephasing_model(PRESETS["fig2"])[1], RHO_PLUS_X),
     "depolarizing": (
         depolarizing_model(DepolarizingParams(1.0, 0.5, 0.3, 0.7))[1],
         np.diag([0.8, 0.2]).astype(complex),
@@ -299,7 +299,7 @@ class TestRunEnsemble:
     def test_block_order_fixes_the_bits(self):
         # three blocks, the last one short: the totals are the block partials
         # added to zeros in block order, signs of zero included
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 10.0, 21))
         size = _kernels.BLOCK_SIZE
         n = 3 * size - 5
@@ -339,7 +339,7 @@ class TestRunEnsemble:
         # fig1-upper never transfers, so every sample is taken at t0 = 0 and
         # its factors come from the per-window tables: at most K * d**2 * width
         # exponentials per window, not one set per trajectory and grid point
-        _, walk = dephasing_model(preset_params("fig1-upper"))
+        _, walk = dephasing_model(PRESETS["fig1-upper"])
         grid = np.linspace(0.0, 20.0, 201)
         kit = _build_kit(walk, RHO_PLUS_X, grid)
         assert not kit.escape.any()
@@ -363,7 +363,7 @@ class TestRunEnsemble:
         # fig1-upper never transfers and starts 0.1 of its trajectories in
         # channel 0, whose windows reduce just the rows it wrote: about 0.55
         # of the buffer elements are squared, where the whole buffers hold 1.0
-        _, walk = dephasing_model(preset_params("fig1-upper"))
+        _, walk = dephasing_model(PRESETS["fig1-upper"])
         grid = np.linspace(0.0, 20.0, 201)
         kit = _build_kit(walk, RHO_PLUS_X, grid)
         k, n2 = kit.eigvals.shape
@@ -380,7 +380,7 @@ class TestRunEnsemble:
         assert 0 < sum(sizes) <= 0.6 * k * nb * grid.size * 2 * n2
 
     def test_trace_drift_raises_naming_trajectory(self):
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 10.0, 21))
         kit.jump_ops = 2.0 * kit.jump_ops
         with pytest.raises(FloatingPointError, match=r"trajectory \d+: .*trace drift"):
@@ -388,24 +388,24 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("seed", [-3, 2**64, 2**64 + 5, True, 1.5, "7"])
     def test_seed_outside_range_rejected(self, seed):
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         with pytest.raises(ValueError, match="master seed"):
             run_ensemble(walk, RHO_PLUS_X, np.linspace(0.0, 1.0, 3), 10, seed)
 
     def test_seed_edges_accepted(self):
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
             assert run_ensemble(walk, RHO_PLUS_X, np.linspace(0.0, 1.0, 3), 10, seed).count == 10
 
     def test_unit_trace_estimator(self):
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         grid = np.linspace(0.0, 5.0, 11)
         acc = run_ensemble(walk, RHO_PLUS_X, grid, 500, 21)
         traces = np.einsum("tii->t", acc.system_estimate())
         np.testing.assert_allclose(traces, 1.0, atol=1e-12)
 
     def test_matches_deterministic_within_4se(self):
-        p = preset_params("fig2")
+        p = PRESETS["fig2"]
         rate_model, walk = dephasing_model(p)
         grid = np.linspace(0.0, 15.0, 31)
         acc = run_ensemble(walk, RHO_PLUS_X, grid, 20000, 31415)
@@ -438,7 +438,7 @@ class TestRunEnsemble:
             np.testing.assert_allclose(acc.system_estimate()[idx], expected, atol=1e-10)
 
     def test_channel_occupation_stationary(self):
-        _, walk = dephasing_model(preset_params("fig2"))
+        _, walk = dephasing_model(PRESETS["fig2"])
         grid = np.linspace(0.0, 120.0, 13)
         acc = run_ensemble(walk, RHO_PLUS_X, grid, 20000, 2718)
         occ = acc.channel_occupation()
