@@ -8,7 +8,6 @@ bit-exactly through text.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import sys
@@ -308,6 +307,9 @@ def _parse_walk_model(section, path: str) -> dict:
     _check_channels(hop_rates, k, f"{path}.hop_rates")
     for i, row in enumerate(hop_rates):
         _check_shape(row, (k,), f"one rate per channel, {k} weights", f"{path}.hop_rates[{i}]")
+        if np.any(row < 0) or row[i] != 0:
+            why = f"rates must be nonnegative with entry [{i}] zero (no self transfers)"
+            raise ConfigError(f"{path}.hop_rates[{i}]", f"{why}, got {row.tolist()}")
     _check_channels(kraus, k, f"{path}.jump_kraus")
     try:
         walk = StochasticModel(basis, hamiltonian, dissipators, hop_rates, kraus, weights)
@@ -450,7 +452,205 @@ class OutputTable:
             raise ValueError("table contains non-finite values")
 
 
-_CSV_ROWS = 256  # rows formatted per write; bounds the text held in memory
+_CSV_ROWS = 1024  # rows formatted per write; bounds the memory a write holds
+_CSV_MIN_CELLS = 384  # below this a chunk is cheaper to format cell by cell than in numpy
+_CELL_BYTES = 25  # the longest cell text, "-1.2345678901234567e-308", and its separator
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter, for exact double-double products
+_POW10: dict[int, tuple[float, float, float, float]] = {}  # q -> 10**(16 - q), filled on first use
+_PAIRS: list[np.ndarray] = []  # "00".."99" as 100 uint16, made on first use
+
+
+def _pow10(q: int) -> tuple[float, float, float, float]:
+    """``10**(16 - q)`` as ``hi + lo`` to about 106 bits, with ``hi`` split
+    into 26-bit halves: ``(hi, hi_high, hi_low, lo)``."""
+    if q not in _POW10:
+        p = 16 - q
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi = num / den  # int true division rounds correctly
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)
+        c = hi * _SPLIT
+        high = c - (c - hi)
+        _POW10[q] = (hi, high, hi - high, lo)
+    return _POW10[q]
+
+
+def _round_scaled(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``N = round(a * 10**(16 - q))`` for ``1e-280 <= a < 1e280``, from a
+    double-double product whose error is below 1e-13.  Also returns where
+    the integer part falls below ``10**16`` and where the fraction is too
+    close to 1/2 to round by."""
+    base = int(q.min())
+    q = q - base
+    used = np.flatnonzero(np.bincount(q))
+    table = np.zeros((4, used[-1] + 1))
+    table[:, used] = np.array([_pow10(int(v) + base) for v in used]).T
+    hi, high, low, lo = (np.take(row, q) for row in table)
+    c = a * _SPLIT
+    a_high = c - (c - a)
+    a_low = a - a_high
+    head = a * hi
+    tail = a_high * high  # Dekker: head + tail == a * hi exactly, plus a * lo
+    tail -= head
+    tail += a_high * low
+    tail += a_low * high
+    tail += a_low * low
+    tail += a * lo
+    whole = np.floor(head)
+    head -= whole
+    head += tail
+    tail = np.floor(head)
+    head -= tail  # the fraction, in [0, 1)
+    n = whole.astype(np.int64)
+    n += tail.astype(np.int64)  # summed as integers: above 2**53 doubles skip some
+    below = n < 10**16
+    n += head > 0.5
+    head -= 0.5
+    return n, below, np.abs(head) < 1e-9
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17 significant digits ``N`` (``10**16 <= N < 10**17``, 0 for zeros)
+    and decimal exponent ``q`` of each cell, ``|x| ~ N * 10**(q - 16)``,
+    rounded half to even; and the cells left to ``"%.17g" %``: ties within
+    the product's error, and ``|x|`` outside ``[1e-280, 1e280)``."""
+    ax = np.abs(x)
+    zero = ax == 0
+    ok = (ax >= 1e-280) & (ax < 1e280)
+    a = np.where(ok, ax, 1.0)
+    q = np.log10(a)
+    q = np.floor(q, out=q).astype(np.int64)  # may miss by one next to a power of 10
+    n, below, tie = _round_scaled(a, q)
+    off = np.flatnonzero(below | (n > 10**17))
+    while off.size:
+        q[off] += np.where(below[off], -1, 1)
+        n[off], below[off], tie[off] = _round_scaled(a[off], q[off])
+        off = off[below[off] | (n[off] > 10**17)]
+    carry = n == 10**17  # rounded up into the next decade
+    n[carry] = 10**16
+    q += carry
+    n[zero] = 0
+    q[zero] = 0
+    return n, q, ~(ok | zero) | tie
+
+
+def _cells_text(block: np.ndarray) -> bytes:
+    return "".join(",".join(["%.17g" % x for x in row]) + "\n" for row in block.tolist()).encode()
+
+
+def _digit_rows(n: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each ``n``, rows taken in ``order``: pair
+    indices are made plane by plane, then looked up in the pair table."""
+    if not _PAIRS:
+        _PAIRS.append(np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16))
+    n = np.take(n, order)
+    planes = np.empty((9, n.size), np.uint32)  # the first digit alone, then 8 pairs
+    planes[0] = n // 10**16
+    n -= planes[0].astype(np.int64) * 10**16
+    words = np.empty((2, n.size), np.uint32)
+    words[0] = n // 10**8
+    n -= words[0].astype(np.int64) * 10**8
+    words[1] = n
+    quads = words // np.uint32(10**4)
+    words -= quads * np.uint32(10**4)
+    quads = np.stack([quads[0], words[0], quads[1], words[1]])
+    planes[1::2] = quads // np.uint32(100)
+    planes[2::2] = quads - planes[1::2] * np.uint32(100)
+    digits = np.empty((n.size, 9), np.uint16)
+    for j, plane in enumerate(planes):
+        digits[:, j] = np.take(_PAIRS[0], plane)
+    return digits.view(np.uint8)[:, 1:]
+
+
+def _significant(n: np.ndarray) -> np.ndarray:
+    """How many of the 17 digits of each ``n`` are left once trailing zeros
+    are cut (1 for zero)."""
+    low = (n % 10**8).astype(np.uint32)
+    nonzero_low = low != 0
+    v = np.where(nonzero_low, low, (n // 10**8 % 10**8).astype(np.uint32))
+    k = np.where(nonzero_low, 17, 9)
+    for zeros in (4, 2, 1):
+        r = v // np.uint32(10**zeros)
+        cut = r * np.uint32(10**zeros) == v
+        k -= zeros * cut
+        np.copyto(v, r, where=cut)
+    k[v == 0] = 1
+    return k
+
+
+def _csv_chunk(block: np.ndarray) -> np.ndarray | bytes:
+    """The CSV lines of a ``(rows, cols)`` block: ``"%.17g" % x`` per cell,
+    built from exact digits in numpy.
+
+    Cells are grouped by layout: fixed notation by sign and exponent (the
+    length cuts trailing zeros), scientific by sign, digit count and
+    exponent sign and width.  Each group is written into a canvas of
+    ``_CELL_BYTES`` per cell with slices, in sorted order; the canvas is put
+    back in cell order, and one mask keeps each cell's text and separator.
+    """
+    rows, cols = block.shape
+    x = block.reshape(-1)
+    m = x.size
+    if m < _CSV_MIN_CELLS:
+        return _cells_text(block)
+    n, q, hard = _decimal(x)
+    k = _significant(n)
+    neg = np.signbit(x)
+    fixed = (q >= -4) & (q <= 16)  # the %g rule for 17 digits
+    wide = np.abs(q) >= 100
+    length = np.where(
+        fixed,
+        np.where(q >= 0, np.maximum(q + 1, k + (k > q + 1)), 1 - q + k),
+        k + (k > 1) + 4 + wide,  # d[.ddd]e+XX[X]
+    )
+    length += neg
+    key = np.where(fixed, q + 4, 21 + k + 17 * (q < 0) + 34 * wide) * 2 + neg
+    order = np.argsort(key.astype(np.uint8), kind="stable")
+    digits = _digit_rows(n, order)
+
+    canvas = np.empty((m, _CELL_BYTES), np.uint8)
+    sorted_key = np.take(key, order)
+    starts = [0, *(np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1).tolist(), m]
+    for a, b in zip(starts[:-1], starts[1:]):
+        first = order[a]
+        j, e, nd = int(neg[first]), int(q[first]), int(k[first])
+        c, d = canvas[a:b], digits[a:b]
+        c[:, 0] = 45  # "-", overwritten when positive
+        if fixed[first] and e >= 0:
+            c[:, j : j + e + 1] = d[:, : e + 1]
+            c[:, j + e + 1] = 46
+            c[:, j + e + 2 : j + 18] = d[:, e + 1 :]
+        elif fixed[first]:
+            c[:, j : j + 1 - e] = 48  # "0.000" up to the digits
+            c[:, j + 1] = 46
+            c[:, j + 1 - e : j + 18 - e] = d
+        else:
+            c[:, j] = d[:, 0]
+            c[:, j + 1] = 46
+            c[:, j + 2 : j + nd + 1] = d[:, 1:nd]
+            j += nd + (nd > 1)
+            c[:, j : j + 2] = (101, 45 if e < 0 else 43)
+            exponent = np.abs(np.take(q, order[a:b]))
+            if abs(e) >= 100:
+                c[:, j + 2] = 48 + exponent // 100
+                exponent %= 100
+                j += 1
+            c[:, j + 2 : j + 4] = np.take(_PAIRS[0], exponent).view(np.uint8).reshape(-1, 2)
+    del digits
+    back = np.empty_like(order)
+    back[order] = np.arange(m)
+    canvas = np.take(canvas, back, axis=0)
+
+    for i in np.flatnonzero(hard).tolist():
+        text = ("%.17g" % x[i]).encode()
+        canvas[i, : len(text)] = np.frombuffer(text, np.uint8)
+        length[i] = len(text)
+    sep = np.full((rows, cols), 44, np.uint8)  # ","
+    sep[:, -1] = 10  # "\n"
+    canvas = canvas.reshape(-1)
+    canvas[length + np.arange(0, m * _CELL_BYTES, _CELL_BYTES)] = sep.reshape(-1)
+    width = np.arange(_CELL_BYTES)
+    return canvas[np.take(width <= width[:, None], length, axis=0).reshape(-1)]
 
 
 def emit_csv(table: OutputTable, path: str | None) -> None:
@@ -458,17 +658,21 @@ def emit_csv(table: OutputTable, path: str | None) -> None:
     ``path``, or to stdout when no path is given.
 
     Each cell is ``"%.17g" % x``, the same text as ``f"{x:.17g}"``.  Rows
-    are formatted ``_CSV_ROWS`` at a time with one template, so the text
-    held in memory stays small whatever the table's length.
+    are formatted ``_CSV_ROWS`` at a time (see ``_csv_chunk``), so the
+    memory held stays small whatever the table's length.
     """
     rows = table.rows
-    line = ",".join(["%.17g"] * rows.shape[-1]) + "\n"
-    out = open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
-    with out as fh:
-        fh.write(",".join(table.columns) + "\n")
-        for start in range(0, len(rows), _CSV_ROWS):
-            blk = rows[start : start + _CSV_ROWS]
-            fh.write((line * len(blk)) % tuple(blk.ravel().tolist()))
+    chunks = (_csv_chunk(rows[start : start + _CSV_ROWS]) for start in range(0, len(rows), _CSV_ROWS))
+    header = ",".join(table.columns) + "\n"
+    if path:
+        with open(path, "wb") as fh:
+            fh.write(header.encode("utf-8"))
+            for text in chunks:
+                fh.write(text)
+    else:
+        sys.stdout.write(header)
+        for text in chunks:
+            sys.stdout.write(str(text, "ascii"))
 
 
 def _observable_columns(dim: int) -> list[str]:

@@ -10,11 +10,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lindbladrate
 from lindbladrate import cli, solver
 from lindbladrate.cli import main
-from lindbladrate.config import _CSV_ROWS, ConfigError, ModelSource, OutputTable, _matrix, emit_csv, parse_config
+from lindbladrate.config import (
+    _CSV_ROWS,
+    ConfigError,
+    ModelSource,
+    OutputTable,
+    _decimal,
+    _matrix,
+    emit_csv,
+    parse_config,
+)
 
 BASE_CONFIG = {
     "model": {"type": "preset", "name": "fig2"},
@@ -274,6 +286,59 @@ class TestEmitCsv:
             tracemalloc.stop()
         assert peak < 4e6, peak
 
+    @staticmethod
+    def _hard_values():
+        """Cells the digit product cannot round alone, or where its exponent
+        guess can miss by one."""
+        powers2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        powers10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        edges = np.concatenate([powers10, np.nextafter(powers10, 0), np.nextafter(powers10, np.inf)])
+        near53 = [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.0, -0.0]
+        values = np.concatenate([TestEmitCsv._ties(), powers2, edges[np.isfinite(edges)], near53])
+        return np.concatenate([values, -values])
+
+    @staticmethod
+    def _ties():
+        """Doubles whose 17-digit rounding is an exact tie: below 1e15 the
+        17th digit is the second decimal and eighths end in a 5 one place
+        further; from 2**50 to 2**51 it is the first decimal and quarters do."""
+        rng = np.random.default_rng(18)
+        eighths = rng.integers(2**47, 10**15, size=64) + rng.choice([0.125, 0.375, 0.625, 0.875], size=64)
+        quarters = rng.integers(2**50, 2**51, size=64) + rng.choice([0.25, 0.75], size=64)
+        return np.concatenate([eighths, quarters])
+
+    def test_ties_go_to_the_per_cell_fallback(self):
+        assert _decimal(self._ties())[2].all()
+
+    def test_hard_cells_match_reference_across_chunk_boundaries(self, tmp_path):
+        # cycled, so that every chunk and the rows on both sides of each
+        # chunk boundary hold hard cells
+        values = np.resize(self._hard_values(), (2 * _CSV_ROWS + 3, 5))
+        table = OutputTable([f"c{i}" for i in range(5)], values)
+        path = tmp_path / "hard.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == self._reference_text(table).encode("utf-8")
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 90), st.integers(1, 8)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),  # subnormals and -0.0 included
+            fill=st.nothing(),
+        )
+    )
+    def test_any_finite_floats_match_reference(self, csv_dir, values):
+        table = OutputTable([f"c{i}" for i in range(values.shape[1])], values)
+        path = csv_dir / "any.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == self._reference_text(table).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
 
 _RATE_K2 = {
     "type": "rate",
@@ -399,6 +464,9 @@ BAD_FIELDS = {
     "walk-jump-kraus-number": ({"model": dict(_WALK_K2, jump_kraus=5)}, "$.model.jump_kraus:"),
     "walk-hop-rates-object": ({"model": dict(_WALK_K2, hop_rates={"a": 1})}, "$.model.hop_rates:"),
     "walk-hop-rate-nan": ({"model": dict(_WALK_K2, hop_rates=[[0.0, float("nan")], [0.1, 0.0]])}, "$.model.hop_rates[0]:"),
+    # these two named only $.model
+    "walk-hop-rate-negative": ({"model": dict(_WALK_K2, hop_rates=[[0.0, -1.0], [0.1, 0.0]])}, "$.model.hop_rates[0]:"),
+    "walk-hop-rate-self": ({"model": dict(_WALK_K2, hop_rates=[[0.0, 1.0], [0.1, 0.5]])}, "$.model.hop_rates[1]:"),
     "walk-weights-string": ({"model": dict(_WALK_K2, weights="abc")}, "$.model.weights:"),
     # walk shape errors printed numpy's "inhomogeneous shape" message on $.model
     "walk-hop-rates-ragged": (
@@ -982,6 +1050,31 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindbladrate.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_csv_writer_loads_no_exact_arithmetic_module(tmp_path):
+    # the CSV digits come from numpy; fractions and decimal cost start-up time
+    config = write_config(tmp_path, dict(BASE_CONFIG, grid={"stop": 10.0, "count": 2000}))
+    code = """
+import contextlib, io, json, sys
+import lindbladrate.cli
+seen = {"import": [0, "fractions" in sys.modules or "decimal" in sys.modules]}
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lindbladrate.cli.main(command.split())
+    seen[command] = [code, "fractions" in sys.modules or "decimal" in sys.modules]
+print(json.dumps(seen))
+"""
+    commands = [
+        f"evolve --config {config}",
+        "traj --preset fig2 --n 50 --seed 1",
+        f"stationary --preset fig2 --out {tmp_path / 'stationary.csv'}",
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindbladrate.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *commands], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert json.loads(proc.stdout) == {"import": [0, False], **{command: [0, False] for command in commands}}
 
 
 def test_scipy_linalg_loads_only_for_spectral_commands():
