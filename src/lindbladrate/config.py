@@ -456,14 +456,12 @@ _CSV_ROWS = 1024  # rows formatted per write; bounds the memory a write holds
 _CSV_MIN_CELLS = 384  # below this a chunk is cheaper to format cell by cell than in numpy
 _CELL_BYTES = 25  # the longest cell text, "-1.2345678901234567e-308", and its separator
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter, for exact double-double products
-_POW10: dict[int, tuple[float, float, float, float]] = {}  # q -> 10**(16 - q), filled on first use
-_PAIRS: list[np.ndarray] = []  # "00".."99" as 100 uint16, made on first use
 
 
-def _pow10(q: int) -> tuple[float, float, float, float]:
+def _pow10(q: int, cache: dict) -> tuple[float, float, float, float]:
     """``10**(16 - q)`` as ``hi + lo`` to about 106 bits, with ``hi`` split
-    into 26-bit halves: ``(hi, hi_high, hi_low, lo)``."""
-    if q not in _POW10:
+    into 26-bit halves: ``(hi, hi_high, hi_low, lo)``; kept in ``cache``."""
+    if q not in cache:
         p = 16 - q
         num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
         hi = num / den  # int true division rounds correctly
@@ -471,20 +469,20 @@ def _pow10(q: int) -> tuple[float, float, float, float]:
         lo = (num * b - a * den) / (den * b)
         c = hi * _SPLIT
         high = c - (c - hi)
-        _POW10[q] = (hi, high, hi - high, lo)
-    return _POW10[q]
+        cache[q] = (hi, high, hi - high, lo)
+    return cache[q]
 
 
-def _round_scaled(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _round_scaled(a: np.ndarray, q: np.ndarray, pow10: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``N = round(a * 10**(16 - q))`` for ``1e-280 <= a < 1e280``, from a
     double-double product whose error is below 1e-13.  Also returns where
     the integer part falls below ``10**16`` and where the fraction is too
-    close to 1/2 to round by."""
+    close to 1/2 to round by.  ``pow10`` caches the powers of ten."""
     base = int(q.min())
     q = q - base
     used = np.flatnonzero(np.bincount(q))
     table = np.zeros((4, used[-1] + 1))
-    table[:, used] = np.array([_pow10(int(v) + base) for v in used]).T
+    table[:, used] = np.array([_pow10(int(v) + base, pow10) for v in used]).T
     hi, high, low, lo = (np.take(row, q) for row in table)
     c = a * _SPLIT
     a_high = c - (c - a)
@@ -509,7 +507,7 @@ def _round_scaled(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return n, below, np.abs(head) < 1e-9
 
 
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decimal(x: np.ndarray, pow10: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """17 significant digits ``N`` (``10**16 <= N < 10**17``, 0 for zeros)
     and decimal exponent ``q`` of each cell, ``|x| ~ N * 10**(q - 16)``,
     rounded half to even; and the cells left to ``"%.17g" %``: ties within
@@ -520,11 +518,11 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.where(ok, ax, 1.0)
     q = np.log10(a)
     q = np.floor(q, out=q).astype(np.int64)  # may miss by one next to a power of 10
-    n, below, tie = _round_scaled(a, q)
+    n, below, tie = _round_scaled(a, q, pow10)
     off = np.flatnonzero(below | (n > 10**17))
     while off.size:
         q[off] += np.where(below[off], -1, 1)
-        n[off], below[off], tie[off] = _round_scaled(a[off], q[off])
+        n[off], below[off], tie[off] = _round_scaled(a[off], q[off], pow10)
         off = off[below[off] | (n[off] > 10**17)]
     carry = n == 10**17  # rounded up into the next decade
     n[carry] = 10**16
@@ -538,11 +536,9 @@ def _cells_text(block: np.ndarray) -> bytes:
     return "".join(",".join(["%.17g" % x for x in row]) + "\n" for row in block.tolist()).encode()
 
 
-def _digit_rows(n: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _digit_rows(n: np.ndarray, order: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """The 17 ASCII digits of each ``n``, rows taken in ``order``: pair
-    indices are made plane by plane, then looked up in the pair table."""
-    if not _PAIRS:
-        _PAIRS.append(np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16))
+    indices are made plane by plane, then looked up in ``pairs``."""
     n = np.take(n, order)
     planes = np.empty((9, n.size), np.uint32)  # the first digit alone, then 8 pairs
     planes[0] = n // 10**16
@@ -558,7 +554,7 @@ def _digit_rows(n: np.ndarray, order: np.ndarray) -> np.ndarray:
     planes[2::2] = quads - planes[1::2] * np.uint32(100)
     digits = np.empty((n.size, 9), np.uint16)
     for j, plane in enumerate(planes):
-        digits[:, j] = np.take(_PAIRS[0], plane)
+        digits[:, j] = np.take(pairs, plane)
     return digits.view(np.uint8)[:, 1:]
 
 
@@ -578,7 +574,7 @@ def _significant(n: np.ndarray) -> np.ndarray:
     return k
 
 
-def _csv_chunk(block: np.ndarray) -> np.ndarray | bytes:
+def _csv_chunk(block: np.ndarray, pow10: dict) -> np.ndarray | bytes:
     """The CSV lines of a ``(rows, cols)`` block: ``"%.17g" % x`` per cell,
     built from exact digits in numpy.
 
@@ -587,13 +583,14 @@ def _csv_chunk(block: np.ndarray) -> np.ndarray | bytes:
     exponent sign and width.  Each group is written into a canvas of
     ``_CELL_BYTES`` per cell with slices, in sorted order; the canvas is put
     back in cell order, and one mask keeps each cell's text and separator.
+    ``pow10`` caches the powers of ten across the chunks of a table.
     """
     rows, cols = block.shape
     x = block.reshape(-1)
     m = x.size
     if m < _CSV_MIN_CELLS:
         return _cells_text(block)
-    n, q, hard = _decimal(x)
+    n, q, hard = _decimal(x, pow10)
     k = _significant(n)
     neg = np.signbit(x)
     fixed = (q >= -4) & (q <= 16)  # the %g rule for 17 digits
@@ -606,7 +603,8 @@ def _csv_chunk(block: np.ndarray) -> np.ndarray | bytes:
     length += neg
     key = np.where(fixed, q + 4, 21 + k + 17 * (q < 0) + 34 * wide) * 2 + neg
     order = np.argsort(key.astype(np.uint8), kind="stable")
-    digits = _digit_rows(n, order)
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)  # "00".."99"
+    digits = _digit_rows(n, order, pairs)
 
     canvas = np.empty((m, _CELL_BYTES), np.uint8)
     sorted_key = np.take(key, order)
@@ -635,7 +633,7 @@ def _csv_chunk(block: np.ndarray) -> np.ndarray | bytes:
                 c[:, j + 2] = 48 + exponent // 100
                 exponent %= 100
                 j += 1
-            c[:, j + 2 : j + 4] = np.take(_PAIRS[0], exponent).view(np.uint8).reshape(-1, 2)
+            c[:, j + 2 : j + 4] = np.take(pairs, exponent).view(np.uint8).reshape(-1, 2)
     del digits
     back = np.empty_like(order)
     back[order] = np.arange(m)
@@ -662,7 +660,8 @@ def emit_csv(table: OutputTable, path: str | None) -> None:
     memory held stays small whatever the table's length.
     """
     rows = table.rows
-    chunks = (_csv_chunk(rows[start : start + _CSV_ROWS]) for start in range(0, len(rows), _CSV_ROWS))
+    pow10 = {}
+    chunks = (_csv_chunk(rows[start : start + _CSV_ROWS], pow10) for start in range(0, len(rows), _CSV_ROWS))
     header = ",".join(table.columns) + "\n"
     if path:
         with open(path, "wb") as fh:

@@ -308,7 +308,7 @@ class TestEmitCsv:
         return np.concatenate([eighths, quarters])
 
     def test_ties_go_to_the_per_cell_fallback(self):
-        assert _decimal(self._ties())[2].all()
+        assert _decimal(self._ties(), {})[2].all()
 
     def test_hard_cells_match_reference_across_chunk_boundaries(self, tmp_path):
         # cycled, so that every chunk and the rows on both sides of each
