@@ -486,18 +486,18 @@ def _round_scaled(a: np.ndarray, q: np.ndarray, pow10: dict) -> tuple[np.ndarray
     hi, high, low, lo = (np.take(row, q) for row in table)
     c = a * _SPLIT
     a_high = c - (c - a)
-    a_low = a - a_high
+    a_low = np.subtract(a, a_high, out=c)
     head = a * hi
     tail = a_high * high  # Dekker: head + tail == a * hi exactly, plus a * lo
     tail -= head
-    tail += a_high * low
-    tail += a_low * high
-    tail += a_low * low
-    tail += a * lo
+    tail += np.multiply(a_high, low, out=a_high)  # each factor's last use: reuse its memory
+    tail += np.multiply(a_low, high, out=high)
+    tail += np.multiply(a_low, low, out=low)
+    tail += np.multiply(a, lo, out=lo)
     whole = np.floor(head)
     head -= whole
     head += tail
-    tail = np.floor(head)
+    np.floor(head, out=tail)
     head -= tail  # the fraction, in [0, 1)
     n = whole.astype(np.int64)
     n += tail.astype(np.int64)  # summed as integers: above 2**53 doubles skip some
@@ -512,10 +512,10 @@ def _decimal(x: np.ndarray, pow10: dict) -> tuple[np.ndarray, np.ndarray, np.nda
     and decimal exponent ``q`` of each cell, ``|x| ~ N * 10**(q - 16)``,
     rounded half to even; and the cells left to ``"%.17g" %``: ties within
     the product's error, and ``|x|`` outside ``[1e-280, 1e280)``."""
-    ax = np.abs(x)
-    zero = ax == 0
-    ok = (ax >= 1e-280) & (ax < 1e280)
-    a = np.where(ok, ax, 1.0)
+    a = np.abs(x)
+    zero = a == 0
+    ok = (a >= 1e-280) & (a < 1e280)
+    a[~ok] = 1.0  # any value in range: these cells are not read
     q = np.log10(a)
     q = np.floor(q, out=q).astype(np.int64)  # may miss by one next to a power of 10
     n, below, tie = _round_scaled(a, q, pow10)
@@ -533,6 +533,7 @@ def _decimal(x: np.ndarray, pow10: dict) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _cells_text(block: np.ndarray) -> bytes:
+    """The CSV lines of a block, one ``"%.17g" %`` per cell."""
     return "".join(",".join(["%.17g" % x for x in row]) + "\n" for row in block.tolist()).encode()
 
 
@@ -540,7 +541,7 @@ def _digit_rows(n: np.ndarray, order: np.ndarray, pairs: np.ndarray) -> np.ndarr
     """The 17 ASCII digits of each ``n``, rows taken in ``order``: pair
     indices are made plane by plane, then looked up in ``pairs``."""
     n = np.take(n, order)
-    planes = np.empty((9, n.size), np.uint32)  # the first digit alone, then 8 pairs
+    planes = np.empty((9, n.size), np.uint8)  # the first digit alone, then 8 pairs
     planes[0] = n // 10**16
     n -= planes[0].astype(np.int64) * 10**16
     words = np.empty((2, n.size), np.uint32)
@@ -603,22 +604,45 @@ def _csv_chunk(block: np.ndarray, pow10: dict) -> np.ndarray | bytes:
     length += neg
     key = np.where(fixed, q + 4, 21 + k + 17 * (q < 0) + 34 * wide) * 2 + neg
     order = np.argsort(key.astype(np.uint8), kind="stable")
+    canvas = _sorted_canvas(n, q, k, neg, np.take(key, order), order)
+    del n, k, key  # free before the canvas is copied
+    back = np.empty_like(order)
+    back[order] = np.arange(m)
+    canvas = np.take(canvas, back, axis=0)
+
+    for i in np.flatnonzero(hard).tolist():
+        text = ("%.17g" % x[i]).encode()
+        canvas[i, : len(text)] = np.frombuffer(text, np.uint8)
+        length[i] = len(text)
+    sep = np.full((rows, cols), 44, np.uint8)  # ","
+    sep[:, -1] = 10  # "\n"
+    canvas = canvas.reshape(-1)
+    canvas[length + np.arange(0, m * _CELL_BYTES, _CELL_BYTES)] = sep.reshape(-1)
+    width = np.arange(_CELL_BYTES)
+    return canvas[np.take(width <= width[:, None], length, axis=0).reshape(-1)]
+
+
+def _sorted_canvas(
+    n: np.ndarray, q: np.ndarray, k: np.ndarray, neg: np.ndarray, sorted_key: np.ndarray, order: np.ndarray
+) -> np.ndarray:
+    """The cell texts in ``order``, ``_CELL_BYTES`` a row, each group of one
+    layout (one ``sorted_key``) written with the same slices; bytes past a
+    cell's length are left as they fall."""
+    m = order.size
     pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)  # "00".."99"
     digits = _digit_rows(n, order, pairs)
-
     canvas = np.empty((m, _CELL_BYTES), np.uint8)
-    sorted_key = np.take(key, order)
     starts = [0, *(np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1).tolist(), m]
     for a, b in zip(starts[:-1], starts[1:]):
         first = order[a]
         j, e, nd = int(neg[first]), int(q[first]), int(k[first])
         c, d = canvas[a:b], digits[a:b]
         c[:, 0] = 45  # "-", overwritten when positive
-        if fixed[first] and e >= 0:
+        if 0 <= e <= 16:  # fixed notation
             c[:, j : j + e + 1] = d[:, : e + 1]
             c[:, j + e + 1] = 46
             c[:, j + e + 2 : j + 18] = d[:, e + 1 :]
-        elif fixed[first]:
+        elif -4 <= e < 0:
             c[:, j : j + 1 - e] = 48  # "0.000" up to the digits
             c[:, j + 1] = 46
             c[:, j + 1 - e : j + 18 - e] = d
@@ -634,21 +658,7 @@ def _csv_chunk(block: np.ndarray, pow10: dict) -> np.ndarray | bytes:
                 exponent %= 100
                 j += 1
             c[:, j + 2 : j + 4] = np.take(pairs, exponent).view(np.uint8).reshape(-1, 2)
-    del digits
-    back = np.empty_like(order)
-    back[order] = np.arange(m)
-    canvas = np.take(canvas, back, axis=0)
-
-    for i in np.flatnonzero(hard).tolist():
-        text = ("%.17g" % x[i]).encode()
-        canvas[i, : len(text)] = np.frombuffer(text, np.uint8)
-        length[i] = len(text)
-    sep = np.full((rows, cols), 44, np.uint8)  # ","
-    sep[:, -1] = 10  # "\n"
-    canvas = canvas.reshape(-1)
-    canvas[length + np.arange(0, m * _CELL_BYTES, _CELL_BYTES)] = sep.reshape(-1)
-    width = np.arange(_CELL_BYTES)
-    return canvas[np.take(width <= width[:, None], length, axis=0).reshape(-1)]
+    return canvas
 
 
 def emit_csv(table: OutputTable, path: str | None) -> None:
