@@ -483,17 +483,20 @@ def _round_scaled(a: np.ndarray, q: np.ndarray, pow10: dict) -> tuple[np.ndarray
     used = np.flatnonzero(np.bincount(q))
     table = np.zeros((4, used[-1] + 1))
     table[:, used] = np.array([_pow10(int(v) + base, pow10) for v in used]).T
-    hi, high, low, lo = (np.take(row, q) for row in table)
     c = a * _SPLIT
     a_high = c - (c - a)
     a_low = np.subtract(a, a_high, out=c)
-    head = a * hi
+    # the factors of each cell are taken just before use and their memory
+    # reused at their last use, so that few arrays are alive at once
+    head = a * np.take(table[0], q)
+    high = np.take(table[1], q)
     tail = a_high * high  # Dekker: head + tail == a * hi exactly, plus a * lo
     tail -= head
-    tail += np.multiply(a_high, low, out=a_high)  # each factor's last use: reuse its memory
+    low = np.take(table[2], q)
+    tail += np.multiply(a_high, low, out=a_high)
     tail += np.multiply(a_low, high, out=high)
     tail += np.multiply(a_low, low, out=low)
-    tail += np.multiply(a, lo, out=lo)
+    tail += np.multiply(a, np.take(table[3], q), out=low)
     whole = np.floor(head)
     head -= whole
     head += tail
@@ -509,9 +512,10 @@ def _round_scaled(a: np.ndarray, q: np.ndarray, pow10: dict) -> tuple[np.ndarray
 
 def _decimal(x: np.ndarray, pow10: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """17 significant digits ``N`` (``10**16 <= N < 10**17``, 0 for zeros)
-    and decimal exponent ``q`` of each cell, ``|x| ~ N * 10**(q - 16)``,
-    rounded half to even; and the cells left to ``"%.17g" %``: ties within
-    the product's error, and ``|x|`` outside ``[1e-280, 1e280)``."""
+    and decimal exponent ``q`` of each cell, ``|x| ~ N * 10**(q - 16)``
+    rounded to nearest; and the cells left to ``"%.17g" %``, which rounds
+    ties to even: those within 1e-9 of a tie, and ``|x|`` outside
+    ``[1e-280, 1e280)``."""
     a = np.abs(x)
     zero = a == 0
     ok = (a >= 1e-280) & (a < 1e280)
@@ -670,7 +674,7 @@ def emit_csv(table: OutputTable, path: str | None) -> None:
     memory held stays small whatever the table's length.
     """
     rows = table.rows
-    pow10 = {}
+    pow10 = {}  # 10**(16 - q) by q, built as the chunks need them
     chunks = (_csv_chunk(rows[start : start + _CSV_ROWS], pow10) for start in range(0, len(rows), _CSV_ROWS))
     header = ",".join(table.columns) + "\n"
     if path:
