@@ -120,8 +120,9 @@ def _cmd_validate(config: RunConfig, args) -> int:
 
 def _cmd_evolve(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
-    result = evolve(rate_model, config.initial_state, config.grid)
-    emit_csv(deterministic_table(result), args.out or config.output)
+    # keep only the table, so the solution's arrays are freed before the writer allocates its own
+    table = deterministic_table(evolve(rate_model, config.initial_state, config.grid))
+    emit_csv(table, args.out or config.output)
     return 0
 
 
