@@ -214,10 +214,15 @@ _COMMANDS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

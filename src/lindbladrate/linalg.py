@@ -124,11 +124,107 @@ def hermiticity_residual(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(m - m.conj().T) / scale)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def min_eigenvalue(matrix: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part ``(M + M^dag) / 2`` of each
-    matrix in ``(..., d, d)``; shape ``(...)``."""
+    matrix in ``(..., d, d)``; shape ``(...)``.
+
+    The bits are those of ``np.linalg.eigvalsh``.  Batches of 2 x 2 matrices
+    get them from :func:`_min_eig_2x2`; a single matrix stays on ``eigvalsh``,
+    which is faster for one call.
+    """
     m = np.asarray(matrix, dtype=complex)
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., 0]
+    if m.ndim > 2 and m.shape[-2:] == (2, 2):
+        return _min_eig_2x2(m)
+    return np.linalg.eigvalsh(_hermitian_part(m))[..., 0]
+
+
+# LAPACK's thresholds on the n = 2 path of zheevd (dlamch: SAFMIN = 2**-1022, EPS = 2**-53).
+_EPS = 2.0**-53  # dsterf's split tests
+_RMIN, _RMAX = 2.0**-485, 2.0**485  # zheevd scales A when max |a_ij| is outside [RMIN, RMAX]
+_SSFMIN, _SSFMAX = 2.0**-405, 2.0**511 / 3  # dsterf scales T when max |t_ij| is outside these
+_BETA_MIN = 2.0**-969  # zlarfg rescales a reflector whose |beta| is below this
+# Rows per pass of _zheevd_2x2: its ~30 temporaries then stay in cache and
+# take less memory than eigvalsh does on the whole batch.
+_ROWS_2X2 = 4096
+
+
+def _min_eig_2x2(m: np.ndarray) -> np.ndarray:
+    """:func:`min_eigenvalue` of ``(..., 2, 2)``, bit for bit as ``eigvalsh``.
+
+    :func:`_zheevd_2x2` computes every row it can replay exactly; the rows
+    it cannot go to ``eigvalsh`` in one call.
+    """
+    flat = np.ascontiguousarray(m).reshape(-1, 2, 2)
+    f = flat.view(np.float64).reshape(-1, 8)
+    lam, fast = np.empty(len(f)), np.empty(len(f), dtype=bool)
+    for s in range(0, len(f), _ROWS_2X2):
+        lam[s : s + _ROWS_2X2], fast[s : s + _ROWS_2X2] = _zheevd_2x2(f[s : s + _ROWS_2X2])
+    slow = ~fast
+    if slow.any():
+        lam[slow] = np.linalg.eigvalsh(_hermitian_part(flat[slow]))[:, 0]
+    return lam.reshape(m.shape[:-2])
+
+
+def _zheevd_2x2(f: np.ndarray):
+    """``(lam, fast)`` for rows ``re, im`` of ``m00, m01, m10, m11``: where
+    ``fast``, ``lam`` is the smallest eigenvalue of the Hermitian part as
+    ``eigvalsh`` computes it.
+
+    Replays the path that ``zheevd`` (jobz N, uplo L) takes for n = 2:
+    ``zhetd2`` with one ``zlarfg`` reflector on ``a21`` and the 1 x 1
+    ``zhemv``/``zdotc``/``zaxpy``/``zher2`` update of ``a22``, then
+    ``dsterf``'s ``dlae2`` and sort (Anderson et al., LAPACK Users' Guide,
+    3rd ed., SIAM 1999).  It uses real float64 arithmetic only, because
+    numpy's complex multiply may fuse its products.  ``fast`` is false on
+    rows that LAPACK would rescale, rows that meet either ``dsterf`` split
+    test, and zero or non-finite rows.
+    """
+    # The Hermitian part's lower triangle.  These equal the parts of
+    # _hermitian_part(m) up to the sign of a zero a21 component, which the
+    # path below does not read (e enters squared, tau_i through tau_i * y_i).
+    a11, a22 = f[:, 0], f[:, 6]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # such rows are not `fast`
+        ar, ai = 0.5 * (f[:, 4] + f[:, 2]), 0.5 * (f[:, 5] - f[:, 3])
+        big = np.maximum(np.abs(ar), np.abs(ai))
+        anrm = np.maximum(np.maximum(np.abs(a11), np.abs(a22)), big)
+        # zlarfg: beta = -SIGN(DLAPY3(ar, ai, 0), ar), tau = ((beta - ar) / beta, -ai / beta)
+        beta = -np.copysign(big * np.sqrt((ar / big) ** 2 + (ai / big) ** 2), ar)
+        tau_r, tau_i = (beta - ar) / beta, -ai / beta
+        # zhemv: y = tau a22 v with v = 1; zdotc(y, v) = conj(y); zaxpy: w = y + (-tau / 2) conj(y)
+        y_r, y_i = tau_r * a22, tau_i * a22
+        w_r = y_r + ((-0.5 * tau_r) * y_r - (-0.5 * tau_i) * -y_i)
+        # zher2 with alpha = -1 adds -2 w_r to a22.  For a real a21 zlarfg sets
+        # tau = 0: no update, and e = ar.  Here tau = (2, +-0) makes w_r = +0
+        # exactly, so a22 is left as it is, and e = beta = -ar; dsterf reads
+        # only |e| and e**2.
+        d1, d2, e = a11, a22 + (-w_r + -w_r), beta
+        # dsterf on [[d1, e], [e, d2]]
+        ad1, ad2, ae = np.abs(d1), np.abs(d2), np.abs(e)
+        tnorm = np.maximum(np.maximum(ad1, ad2), ae)
+        e2 = e * e
+        # zlanhe's max |a_ij| lies in [anrm, sqrt(2) anrm]
+        fast = (anrm >= _RMIN) & (anrm <= _RMAX / 2) & (ae >= _BETA_MIN)
+        fast &= (tnorm >= _SSFMIN) & (tnorm <= _SSFMAX)
+        fast &= (ae > np.sqrt(ad1) * np.sqrt(ad2) * _EPS) & (e2 > _EPS * _EPS * np.abs(d1 * d2))
+        fast &= np.isfinite(f[:, 1] + f[:, 7])  # the imaginary diagonal, which the rest never reads
+        # QL when |d2| >= |d1|, else QR; either way dlae2 gets the smaller |d| first,
+        # so its ACMN is a and its ACMX is c.
+        qr = ad2 < ad1
+        a, c = np.where(qr, d2, d1), np.where(qr, d1, d2)
+        rte = np.sqrt(e2)
+        sm = a + c
+        adf, ab = np.abs(a - c), np.abs(rte + rte)
+        hi, lo = np.maximum(adf, ab), np.minimum(adf, ab)
+        rt = hi * np.sqrt(1.0 + (lo / hi) ** 2)  # AB*SQRT(TWO) when ADF = AB
+        rt1 = 0.5 * np.where(sm < 0, sm - rt, sm + rt)
+        rt2 = np.where(sm == 0, -0.5 * rt, (c / rt1) * a - (rte / rt1) * rte)
+    # dlasrt: QL leaves (rt1, rt2), QR (rt2, rt1); the first stays unless the second is smaller
+    first, second = np.where(qr, rt2, rt1), np.where(qr, rt1, rt2)
+    return np.where(second < first, second, first), fast
 
 
 def psd_check(matrix: np.ndarray, tol: float = PSD_TOL):

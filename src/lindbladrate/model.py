@@ -245,6 +245,13 @@ def validate_model(model: LindbladRateModel) -> ValidationReport:
     return ValidationReport(reports, wsum, wpos, hres, passed)
 
 
+def _cp_refusal(tags) -> CPValidationError:
+    """The error for a model that fails :func:`validate_model`, naming the
+    failing blocks by their ``(R, R')`` tags."""
+    bad = ", ".join(str(tag) for tag in tags)
+    return CPValidationError(f"model failed CP validation (blocks: {bad or 'weights/hamiltonians'})")
+
+
 def _dissipation_pieces(basis: OperatorBasis, blocks: np.ndarray):
     """Return ``(D, F)`` for coefficient blocks of shape ``(..., m, m)``: the
     anticommutator operators ``D`` and the sandwich superoperators ``F``."""
@@ -271,8 +278,7 @@ def assemble_generator(model: LindbladRateModel, validate: bool = True) -> Stack
     if validate:
         report = validate_model(model)
         if not report.passed:
-            bad = ", ".join(str(b.tag) for b in report.failures())
-            raise CPValidationError(f"model failed CP validation (blocks: {bad or 'weights/hamiltonians'})")
+            raise _cp_refusal([b.tag for b in report.failures()])
     k, d = model.num_channels, model.dim
     n = d * d
     dops, fops = _dissipation_pieces(model.basis, model.blocks)

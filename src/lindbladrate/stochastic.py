@@ -27,10 +27,19 @@ from .linalg import (
     hamiltonian_superop,
     hermiticity_residual,
     kraus_superop,
+    psd_check,
     trace_vector,
     vectorize,
 )
-from .model import PROJECTION_TOL, LindbladRateModel, OperatorBasis, _check_density, _grid_array, dissipator_superop
+from .model import (
+    PROJECTION_TOL,
+    LindbladRateModel,
+    OperatorBasis,
+    _check_density,
+    _cp_refusal,
+    _grid_array,
+    dissipator_superop,
+)
 
 __all__ = [
     "StochasticModel",
@@ -229,12 +238,20 @@ def run_ensemble(
     Results are a pure function of ``(model, rho0, grid, n, master_seed)``:
     trajectory ``i`` consumes substream ``i`` of the master seed and partial
     sums are merged in fixed block order.  ``master_seed`` must be an integer
-    in ``[0, 2**64)``.
+    in ``[0, 2**64)``.  Raises ``CPValidationError`` where ``evolve`` of the
+    walk's rate model would.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     master_seed = check_seed(master_seed)
     times = _grid_array(grid)
+    # The rate model of the walk has the dissipator blocks on its diagonal and
+    # hop-rate-scaled Kraus Gram matrices, PSD by construction, off it; the
+    # weights and Hamiltonian were checked in __post_init__.  So its CP check
+    # is that of the dissipator blocks.
+    failed = [(r, r) for r, block in enumerate(model.dissipator_blocks) if not psd_check(block)[0]]
+    if failed:
+        raise _cp_refusal(failed)
     rho0 = _check_density(rho0, model.dim)
     kit = _build_kit(model, rho0, times)
     sums, sq_re, sq_im = _kernels.run_blocks(kit, n, master_seed)

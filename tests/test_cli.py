@@ -356,6 +356,12 @@ _WALK_K2 = {
     "jump_kraus": [[[[1, 0], [0, -1]]], [[[1, 0], [0, -1]]]],
     "weights": [0.1, 0.9],
 }
+# channel 0's dissipator block in the walk basis {sigma_z, sigma_x}: each fails
+# the CP condition that validate and evolve check
+FAILING_WALK_BLOCKS = {
+    "negative": [[-0.5, 0], [0, 0]],
+    "not-hermitian": [[0, 1], [0, 0]],
+}
 _TRIPARTITE_K1 = {"type": "tripartite", "basis": [[[1, 0], [0, -1]]], "channels": 1}
 _LOG_GRID = {"stop": 10.0, "count": 41, "spacing": "log"}
 BAD_FIELDS = {
@@ -950,6 +956,25 @@ class TestCliCommands:
         assert "failed CP validation (blocks: (0, 0))" in err and "engine failure" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "evolve", "traj"])
+    @pytest.mark.parametrize("block", list(FAILING_WALK_BLOCKS.values()), ids=list(FAILING_WALK_BLOCKS))
+    def test_failing_walk_block_exit_2_from_every_command(self, tmp_path, capsys, command, block):
+        # traj used to exit 0 with a table on the negative block and 3 as an
+        # engine failure on the non-Hermitian one
+        model = dict(_WALK_K2, basis=[[[1, 0], [0, -1]], [[0, 1], [1, 0]]])
+        model["channel_dissipators"] = [block, [[0, 0], [0, 0]]]
+        payload = dict(BASE_CONFIG, model=model, trajectories=10, seed=1)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        if command == "validate":
+            assert "block (0, 0):" in captured.out and "NOT PSD" in captured.out
+        else:
+            assert captured.err == (
+                "model failed CP validation (blocks: (0, 0)); `lre validate` reports each block\n"
+            )
+            assert not out.exists()
+
     def test_singular_resolvent_exit_3_without_warning(self, tmp_path, capsys, recwarn):
         # u = 1e-300 leaves u - G singular; scipy's LinAlgWarning used to reach stderr
         assert main(["kernel", "--preset", "fig2", "--u", "1e-300"]) == 3
@@ -1042,6 +1067,40 @@ class TestModelSources:
 
         model, _ = load_config(cfg).model.build()
         assert model.blocks[0, 0, 0, 0].real == pytest.approx(2 * c * tau_c, rel=1e-5)
+
+
+def test_parser_built_once_gives_the_bytes_of_fresh_calls(tmp_path, capsys, monkeypatch):
+    # main() keeps the parser of its first call; a failed parse between two
+    # calls must not change what later calls return, print or write
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    argvs = [
+        ["evolve", "--preset", "fig2", "--out", "{}/evolve.csv"],
+        ["evolve", "--preset", "fig2", "--no-such-flag"],
+        ["traj", "--preset", "fig2", "--n", "20", "--seed", "3", "--out", "{}/traj.csv"],
+        ["stationary", "--preset", "fig9"],
+        ["validate", "--preset", "fig1-lower"],
+    ]
+
+    def run(directory, fresh):
+        directory.mkdir()
+        results = []
+        for argv in argvs:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            code = main([arg.format(directory) for arg in argv])
+            results.append((code, *capsys.readouterr()))
+        return results, {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    fresh = run(tmp_path / "fresh", fresh=True)
+    assert len(built) == len(argvs)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = run(tmp_path / "reused", fresh=False)
+    assert len(built) == len(argvs) + 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh[0]] == [0, 1, 0, 1, 0]
+    assert sorted(fresh[1]) == ["evolve.csv", "traj.csv"]
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -1,7 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import lindbladrate
 from lindbladrate.linalg import (
     _kron,
     choi_matrix,
@@ -15,7 +24,8 @@ from lindbladrate.linalg import (
     trace_vector,
     vectorize,
 )
-from lindbladrate.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
+from lindbladrate.qubit import PRESETS, SIGMA_X, SIGMA_Y, SIGMA_Z, dephasing_model
+from lindbladrate.solver import evolve
 
 from conftest import random_hermitian, vec_oracle
 
@@ -71,6 +81,196 @@ class TestMinEigenvalue:
         # the anti-Hermitian part is dropped: (M + M^dag) / 2 = diag(1, -2)
         m = np.array([[1.0, 3.0], [-3.0, -2.0]])
         assert float(min_eigenvalue(m)) == pytest.approx(-2.0)
+
+
+def _eigvalsh_bits(m):
+    """The reference: ``eigvalsh`` of the Hermitian part, as bits."""
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[..., 0].view(np.int64)
+
+
+def _edge_sets():
+    """2 x 2 batches named by what makes them hard, 2000 rows each."""
+    rng = np.random.default_rng(2222)
+    g = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
+    herm = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    off = np.zeros((2, 2), dtype=bool)
+    off[0, 1] = off[1, 0] = True
+
+    def with_offdiagonal(values):
+        m = herm.copy()
+        m[:, 1, 0] = values
+        m[:, 0, 1] = np.conj(values)
+        return m
+
+    equal, opposite = herm.copy(), herm.copy()
+    equal[:, 1, 1] = equal[:, 0, 0]
+    opposite[:, 1, 1] = -opposite[:, 0, 0]
+    a21 = herm[:, 1, 0]
+    sets = {
+        "equal-diagonal": equal,
+        "opposite-diagonal": opposite,
+        "zero-offdiagonal": np.where(off, 0, herm),
+        "real-offdiagonal": with_offdiagonal(a21.real),
+        "imaginary-offdiagonal": with_offdiagonal(1j * a21.imag),
+        "tiny-offdiagonal": with_offdiagonal(a21 * 10.0 ** rng.uniform(-20, -8, 2000)),
+        "zero-matrix": np.zeros((50, 2, 2), dtype=complex),
+        "real": g.real,
+        "non-hermitian": g,
+        "subnormal": g * 2.0**-1060,
+        "per-entry-wide": g * 10.0 ** rng.uniform(-150, 150, (2000, 2, 2)),
+    }
+    for exponent in (140, -140, 200, -200):
+        sets[f"scale-1e{exponent:+d}"] = g * 10.0**exponent
+    return sets
+
+
+EDGE_SETS = _edge_sets()
+
+
+@st.composite
+def _batches(draw):
+    """Complex ``(n, 2, 2)`` batches with entries ``s * 2**k``, and an off-diagonal
+    that is complex, real, imaginary or zero throughout the batch."""
+    low, high = draw(st.sampled_from([(-8, 8), (-170, 170), (-1074, 1020)]))
+    n = draw(st.integers(1, 16))
+    entries = st.builds(lambda s, k: s * 2.0**k, st.floats(-1.0, 1.0), st.integers(low, high))
+    m = draw(hnp.arrays(np.float64, (n, 2, 2, 2), elements=entries)).view(np.complex128)[..., 0]
+    kind = draw(st.sampled_from(["complex", "real", "imaginary", "zero"]))
+    if kind == "real":
+        m.imag[:, [0, 1], [1, 0]] = 0.0
+    elif kind == "imaginary":
+        m.real[:, [0, 1], [1, 0]] = 0.0
+    elif kind == "zero":
+        m[:, [0, 1], [1, 0]] = 0.0
+    return m
+
+
+class TestMinEigenvalue2x2:
+    """Batches of 2 x 2 matrices take a replay of LAPACK's n = 2 path; its
+    bits must be eigvalsh's."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(m=_batches())
+    def test_any_batch_matches_eigvalsh_bits(self, m):
+        assert np.array_equal(min_eigenvalue(m).view(np.int64), _eigvalsh_bits(m))
+
+    @pytest.mark.parametrize("m", list(EDGE_SETS.values()), ids=list(EDGE_SETS))
+    def test_edge_set_matches_eigvalsh_bits(self, m):
+        assert np.array_equal(min_eigenvalue(m).view(np.int64), _eigvalsh_bits(m))
+
+    def test_preset_evolutions_to_t_200_match_eigvalsh_bits(self):
+        grid = np.linspace(0.0, 200.0, 4001)
+        states = [
+            np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+            np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+            np.array([[0.8, 0.3 - 0.1j], [0.3 + 0.1j, 0.2]]),
+        ]
+        for name in PRESETS:
+            rate_model, _ = dephasing_model(PRESETS[name])
+            for rho0 in states:
+                result = evolve(rate_model, rho0, grid)
+                assert np.array_equal(result.min_eigenvalue.view(np.int64), _eigvalsh_bits(result.system)), name
+
+    def test_batches_keep_their_shape(self, rng):
+        m = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+        out = min_eigenvalue(m)
+        assert out.shape == (3, 5)
+        assert np.array_equal(out.view(np.int64), _eigvalsh_bits(m))
+        assert min_eigenvalue(m[:0]).shape == (0, 5)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the matrices that reach ``np.linalg.eigvalsh``."""
+        seen = []
+        original = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return seen
+
+    def test_ordinary_rows_never_reach_eigvalsh(self, rng, monkeypatch):
+        v = rng.standard_normal((5000, 2, 3)) + 1j * rng.standard_normal((5000, 2, 3))
+        rho = v @ v.conj().swapaxes(-1, -2)
+        expected = _eigvalsh_bits(rho)
+        seen = self._spy(monkeypatch)
+        assert np.array_equal(min_eigenvalue(rho).view(np.int64), expected)
+        assert seen == []
+
+    FALLBACK_ROWS = {
+        # zheevd scales A: max |a_ij| above RMAX = 2**485 or below RMIN = 2**-485
+        "zheevd-scales-up": [[1e200, 3e199j], [-3e199j, 2e200]],
+        "zheevd-scales-down": [[1e-200, 3e-201j], [-3e-201j, 2e-200]],
+        # inside zheevd's range, but dsterf scales T below SSFMIN = 2**-405
+        "dsterf-scales": [[1e-130, 3e-131j], [-3e-131j, 2e-130]],
+        # |beta| = |a21| below 2**-969: zlarfg rescales the reflector
+        "zlarfg-rescales": [[0.0, 1e-300j], [-1e-300j, 1.0]],
+        # |e| <= eps sqrt|d1| sqrt|d2|: dsterf's first split test
+        "split-first-test": [[1.0, 1e-17], [1e-17, 2.0]],
+        # d1 = 0 fails the first test; e**2 underflows and meets the second
+        "split-second-test": [[0.0, 1e-170], [1e-170, 1.0]],
+        "zero": [[0.0, 0.0], [0.0, 0.0]],
+        "nan": [[np.nan, 0.3], [0.3, 1.0]],
+        "infinite-offdiagonal": [[1.0, np.inf], [np.inf, 1.0]],
+        # dropped by the Hermitian part only after turning it into NaN
+        "infinite-imaginary-diagonal": [[complex(1.0, np.inf), 0.3], [0.3, 1.0]],
+    }
+
+    @pytest.mark.parametrize("row", list(FALLBACK_ROWS.values()), ids=list(FALLBACK_ROWS))
+    def test_rows_the_replay_cannot_follow_reach_eigvalsh(self, rng, monkeypatch, row):
+        m = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+        m[4] = row
+        with np.errstate(invalid="ignore"):
+            expected = _eigvalsh_bits(m)
+            seen = self._spy(monkeypatch)
+            got = min_eigenvalue(m)
+        assert np.array_equal(got.view(np.int64), expected)
+        assert len(seen) == 1 and seen[0].shape == (1, 2, 2)
+
+    def test_single_matrix_stays_on_eigvalsh(self, monkeypatch):
+        seen = self._spy(monkeypatch)
+        min_eigenvalue(np.array([[1.0, 0.5j], [-0.5j, 2.0]]))
+        assert len(seen) == 1 and seen[0].shape == (2, 2)
+
+
+# Under these, OpenBLAS runs other kernels and numpy other loops (some of the
+# CSV pins move); the replay must still give eigvalsh's bits.
+_ALTERNATIVE_ENVIRONMENTS = {
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-without-avx2-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"},
+}
+_COMPARE_IN_CHILD = """
+import json
+import numpy as np
+from lindbladrate.linalg import min_eigenvalue
+
+rng = np.random.default_rng(11)
+g = rng.standard_normal((20000, 2, 2)) + 1j * rng.standard_normal((20000, 2, 2))
+v = rng.standard_normal((20000, 2, 3)) + 1j * rng.standard_normal((20000, 2, 3))
+sets = [g, v @ v.conj().swapaxes(-1, -2), g * 10.0 ** rng.uniform(-150, 150, (20000, 2, 2))]
+rows = mismatches = 0
+for m in sets:
+    reference = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))[:, 0]
+    mismatches += int(np.count_nonzero(min_eigenvalue(m).view(np.int64) != reference.view(np.int64)))
+    rows += len(m)
+print(json.dumps({"rows": rows, "mismatches": mismatches}))
+"""
+
+
+@pytest.mark.parametrize(
+    "extra_env", list(_ALTERNATIVE_ENVIRONMENTS.values()), ids=list(_ALTERNATIVE_ENVIRONMENTS)
+)
+def test_2x2_path_matches_eigvalsh_under_other_kernels(extra_env):
+    # the environment is set on the child only; both sides of the comparison run there
+    src = os.path.dirname(os.path.dirname(lindbladrate.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **extra_env)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMPARE_IN_CHILD], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert json.loads(proc.stdout) == {"rows": 60000, "mismatches": 0}
 
 
 class TestSandwich:

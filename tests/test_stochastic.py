@@ -6,9 +6,10 @@ import scipy.stats
 from lindbladrate import _kernels
 from lindbladrate._rng import draw_u64, mix64, stream_key, to_unit
 from lindbladrate.linalg import kraus_superop, vectorize
-from lindbladrate.model import OperatorBasis, assemble_generator
+from lindbladrate.model import CPValidationError, OperatorBasis, assemble_generator
 from lindbladrate.qubit import (
     PRESETS,
+    SIGMA_X,
     SIGMA_Z,
     DephasingParams,
     DepolarizingParams,
@@ -385,6 +386,23 @@ class TestRunEnsemble:
         kit.jump_ops = 2.0 * kit.jump_ops
         with pytest.raises(FloatingPointError, match=r"trajectory \d+: .*trace drift"):
             _kernels.run_blocks(kit, 50, 3)
+
+    def test_failing_dissipator_block_refused_as_evolve_refuses_it(self):
+        # run_ensemble used to run this walk; evolve of its rate model refuses it
+        walk = StochasticModel(
+            basis=OperatorBasis(np.array([SIGMA_Z, SIGMA_X])),
+            hamiltonian=np.zeros((2, 2)),
+            dissipator_blocks=np.array([[[-0.5, 0.0], [0.0, 0.0]], np.zeros((2, 2))]),
+            hop_rates=np.array([[0.0, 1.0], [0.1, 0.0]]),
+            kraus_maps=[[SIGMA_Z], [SIGMA_Z]],
+            weights=np.array([0.1, 0.9]),
+        )
+        grid = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(CPValidationError, match=r"failed CP validation \(blocks: \(0, 0\)\)") as refused:
+            run_ensemble(walk, RHO_PLUS_X, grid, 10, 1)
+        with pytest.raises(CPValidationError) as from_evolve:
+            evolve(convert_walk_to_rate_model(walk, walk.basis), RHO_PLUS_X, grid)
+        assert str(refused.value) == str(from_evolve.value)
 
     @pytest.mark.parametrize("seed", [-3, 2**64, 2**64 + 5, True, 1.5, "7"])
     def test_seed_outside_range_rejected(self, seed):
