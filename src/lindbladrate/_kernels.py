@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from ._rng import draw_u64, stream_key, to_unit
+from .linalg import TRACE_TOL
 
 BLOCK_SIZE = 1024
 # Byte budget of one channel's sample buffer (BLOCK_SIZE, W, d**2): W = 8 grid
@@ -105,10 +106,10 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
             y[sel] = (kit.jump_ops[c] @ propagate(c, sel, t_jump[sel] - t0[sel])).T
         ys = y[idx]
         tr = ys[:, diag_idx].sum(axis=1)
-        bad = (np.abs(tr - 1.0) > 1e-10) | ~np.isfinite(tr)
+        bad = (np.abs(tr - 1.0) > TRACE_TOL) | ~np.isfinite(tr)
         if bad.any():
             raise FloatingPointError(
-                f"trajectory {lo + idx[bad][0]}: non-finite state or trace drift beyond 1e-10"
+                f"trajectory {lo + idx[bad][0]}: non-finite state or trace drift beyond {TRACE_TOL:g}"
             )
         y[idx] = ys / tr[:, None]
         # The first column with u <= cum is never the source itself: its

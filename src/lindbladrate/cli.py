@@ -30,7 +30,7 @@ from .config import (
 )
 from .model import CPValidationError, validate_model
 from .qubit import PRESETS, h_of_t
-from .solver import evolve, homogeneity_check, memory_kernel_at, stationary_state
+from .solver import _evolve_blocks, evolve, homogeneity_check, memory_kernel_at, stationary_state
 from .stochastic import run_ensemble
 
 _DEFAULT_GRID = np.linspace(0.0, 20.0, 201)
@@ -120,9 +120,9 @@ def _cmd_validate(config: RunConfig, args) -> int:
 
 def _cmd_evolve(config: RunConfig, args) -> int:
     rate_model, _ = config.model.build()
-    # keep only the table, so the solution's arrays are freed before the writer allocates its own
-    table = deterministic_table(evolve(rate_model, config.initial_state, config.grid))
-    emit_csv(table, args.out or config.output)
+    # one block of grid times at a time, from propagation to CSV text
+    blocks = _evolve_blocks(rate_model, config.initial_state, config.grid)
+    emit_csv(map(deterministic_table, blocks), args.out or config.output)
     return 0
 
 

@@ -8,8 +8,10 @@ bit-exactly through text.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -19,6 +21,7 @@ from ._rng import check_seed
 from .linalg import HERMITIAN_TOL, hermiticity_residual, min_eigenvalue
 from .model import LindbladRateModel, OperatorBasis, _check_density, build_from_correlations, reduce_from_tripartite
 from .qubit import PRESETS, dephasing_model
+from .solver import _BLOCK_ROWS
 from .stochastic import JumpMapError, StochasticModel, convert_walk_to_rate_model
 
 __all__ = ["ConfigError", "RunConfig", "OutputTable", "parse_config", "load_config", "emit_csv"]
@@ -452,7 +455,6 @@ class OutputTable:
             raise ValueError("table contains non-finite values")
 
 
-_CSV_ROWS = 1024  # rows formatted per write; bounds the memory a write holds
 _CSV_MIN_CELLS = 384  # below this a chunk is cheaper to format cell by cell than in numpy
 _CELL_BYTES = 25  # the longest cell text, "-1.2345678901234567e-308", and its separator
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter, for exact double-double products
@@ -665,27 +667,40 @@ def _sorted_canvas(
     return canvas
 
 
-def emit_csv(table: OutputTable, path: str | None) -> None:
-    """Write a table as CSV with 17-significant-digit decimal text to
-    ``path``, or to stdout when no path is given.
+def emit_csv(tables, path: str | None) -> None:
+    """Write a table, or the tables of an iterable in order under the first
+    one's header, as CSV with 17-significant-digit decimal text to ``path``,
+    or to stdout when no path is given.
 
     Each cell is ``"%.17g" % x``, the same text as ``f"{x:.17g}"``.  Rows
-    are formatted ``_CSV_ROWS`` at a time (see ``_csv_chunk``), so the
-    memory held stays small whatever the table's length.
+    are formatted ``_BLOCK_ROWS`` at a time (see ``_csv_chunk``), so the
+    memory held stays small whatever the table's length.  Tables are taken
+    one at a time, as they are written: ``path`` is opened only once the
+    first exists, and a file is removed again when a later one fails.
     """
-    rows = table.rows
+    tables = iter([tables] if isinstance(tables, OutputTable) else tables)
+    first = next(tables)
     pow10 = {}  # 10**(16 - q) by q, built as the chunks need them
-    chunks = (_csv_chunk(rows[start : start + _CSV_ROWS], pow10) for start in range(0, len(rows), _CSV_ROWS))
-    header = ",".join(table.columns) + "\n"
-    if path:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("utf-8"))
-            for text in chunks:
-                fh.write(text)
-    else:
+    chunks = (
+        _csv_chunk(table.rows[start : start + _BLOCK_ROWS], pow10)
+        for table in itertools.chain([first], tables)
+        for start in range(0, len(table.rows), _BLOCK_ROWS)
+    )
+    header = ",".join(first.columns) + "\n"
+    if not path:
         sys.stdout.write(header)
         for text in chunks:
             sys.stdout.write(str(text, "ascii"))
+        return
+    with open(path, "wb") as fh:
+        try:
+            fh.write(header.encode("utf-8"))
+            for text in chunks:
+                fh.write(text)
+        except BaseException:  # a partial table is not left behind, whatever stopped it
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def _observable_columns(dim: int) -> list[str]:

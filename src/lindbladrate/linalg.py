@@ -18,6 +18,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-10  # bound on hermiticity_residual
 PSD_TOL = 1e-8  # min eigenvalue >= -PSD_TOL * max(1, |M|)
 EIG_TOL = 1e-11  # eigendecomposition residual |V diag(w) V^-1 - G|, relative to max(1, |G|)
+TRACE_TOL = 1e-10  # |tr - 1| of an initial state, an evolved state and a trajectory before renormalization
 
 __all__ = [
     "vectorize",

@@ -28,6 +28,7 @@ import numpy as np
 from .linalg import (
     HERMITIAN_TOL,
     PSD_TOL,
+    TRACE_TOL,
     anticommutator_superop,
     coefficient_superop,
     hamiltonian_superop,
@@ -325,7 +326,7 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     if hermiticity_residual(rho) > HERMITIAN_TOL:
         raise ValueError("initial state is not Hermitian")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"initial state trace {tr} is not 1")
     min_eig = float(min_eigenvalue(rho))
     if min_eig < -PSD_TOL:

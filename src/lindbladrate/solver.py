@@ -1,12 +1,13 @@
 """Deterministic evolution, stationary analysis and Laplace-domain kernels.
 
 The stacked generator G drives ``d|rho)/dt = G |rho)``.  Time evolution is
-the exact exponential: eigenpropagation, or expm stepping when the generator
-is not reliably diagonalizable.  Stationary structure comes from the spectral
-projector onto the zero eigenvalue of G; the Laplace-domain objects are the
-channel-summed, weight-embedded resolvent ``R(u) = (1| (u - G)^{-1} |P)`` and
-the memory kernel ``L(u)`` solving ``R(u) L(u) = (1| (u-G)^{-1} M |P)`` where
-``M`` is the generator minus its channel-independent Hamiltonian part.
+the exact exponential, one block of grid times at a time: eigenpropagation,
+or expm stepping when the generator is not reliably diagonalizable.
+Stationary structure comes from the spectral projector onto the zero
+eigenvalue of G; the Laplace-domain objects are the channel-summed,
+weight-embedded resolvent ``R(u) = (1| (u - G)^{-1} |P)`` and the memory
+kernel ``L(u)`` solving ``R(u) L(u) = (1| (u-G)^{-1} M |P)`` where ``M`` is
+the generator minus its channel-independent Hamiltonian part.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _kron, devectorize, eig_factor, hamiltonian_superop, min_eigenvalue, vectorize
+from .linalg import TRACE_TOL, _kron, devectorize, eig_factor, hamiltonian_superop, min_eigenvalue, vectorize
 from .model import (
     LindbladRateModel,
     StackedGenerator,
@@ -46,11 +47,15 @@ ZERO_TOL = 1e-9  # zero cluster: |lambda| < ZERO_TOL * max(1, |G|_2)
 HOMOGENEITY_TOL = 1e-9  # the reduced stationary map vanishes when no entry exceeds this
 RESIDUAL_TOL = 1e-8  # kernel solve residual, relative to max(1, |rhs|)
 CROSS_TOL = 1e-6  # largest entry of spectral minus long-time stationary state
+# Grid times per evolve block, and rows per CSV write (config.emit_csv), so
+# that each block is formatted in one piece; bounds the memory either holds.
+_BLOCK_ROWS = 1024
 
 
 class SolverError(RuntimeError):
-    """The stationary cross-check failed: non-decaying modes, or the spectral
-    state disagrees with the long-time exponential."""
+    """A solution failed its check: the total trace of an evolution drifted
+    from 1, or the stationary cross-check failed (non-decaying modes, or the
+    spectral state disagrees with the long-time exponential)."""
 
 
 class DefectiveSpectrumError(RuntimeError):
@@ -154,36 +159,76 @@ def _as_analysis(model_or_analysis) -> StationaryProjector:
     return stationary_projector(model_or_analysis)
 
 
-def _propagate_exact(gen: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States at all grid times via eigenpropagation, expm stepping where
-    :func:`~lindbladrate.linalg.eig_factor` refuses the eigenbasis."""
+def _propagate_blocks(gen: np.ndarray, y0: np.ndarray, times: np.ndarray):
+    """Yield ``(t, ys)``: the next at most ``_BLOCK_ROWS`` grid times and the
+    stacked states at them.  Eigenpropagation, or expm stepping carried
+    across the blocks where :func:`~lindbladrate.linalg.eig_factor` refuses
+    the eigenbasis.
+
+    No block has one row unless the grid has: BLAS forms a one-row product
+    as a matrix-vector product, which rounds differently from the
+    matrix-matrix product of longer blocks, so a last row on its own is
+    moved into a block of two.
+    """
     try:
         vals, vecs, inv = eig_factor(gen)
     except np.linalg.LinAlgError:
-        pass
-    else:
-        return (np.exp(np.multiply.outer(times, vals)) * (inv @ y0)) @ vecs.T
-    import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
+        vals = None
+        import scipy.linalg  # loaded only where used: importing it is ~0.2 s of start-up
 
-    out = np.empty((times.shape[0], y0.shape[0]), dtype=complex)
-    y = y0.astype(complex)
-    prev = 0.0
-    for i, t in enumerate(times):
-        if t != prev:
-            y = scipy.linalg.expm((t - prev) * gen) @ y
-            prev = t
-        out[i] = y
-    return out
+        y, prev = y0.astype(complex), 0.0
+    else:
+        coeffs = inv @ y0
+    edges = [*range(0, times.shape[0], _BLOCK_ROWS), times.shape[0]]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        edges[-2] -= 1
+    for start, stop in zip(edges[:-1], edges[1:]):
+        t = times[start:stop]
+        if vals is None:
+            ys = np.empty((t.shape[0], y0.shape[0]), dtype=complex)
+            for i, ti in enumerate(t):
+                if ti != prev:
+                    y = scipy.linalg.expm((ti - prev) * gen) @ y
+                    prev = ti
+                ys[i] = y
+        else:
+            ys = np.multiply.outer(t, vals)
+            np.exp(ys, out=ys)
+            ys *= coeffs
+            ys = ys @ vecs.T
+        yield t, ys
+
+
+def _evolve_blocks(model: LindbladRateModel, rho0: np.ndarray, grid):
+    """Yield the :class:`EvolutionResult` of each block of at most
+    ``_BLOCK_ROWS`` grid times, in order.
+
+    The state, grid and model are checked and the generator diagonalized
+    once, when the first block is asked for.  A block whose total trace
+    drifts from 1 by more than ``TRACE_TOL`` raises :class:`SolverError`:
+    on long grids, rounding in the zero eigenvalues grows with t.
+    """
+    times = _grid_array(grid)
+    gen = assemble_generator(model)
+    y0 = embed_channels(model.weights, vectorize(_check_density(rho0, model.dim)))
+    for t, ys in _propagate_blocks(gen.matrix, y0, times):
+        block = _package_result(t, ys, gen.num_channels)
+        drift = np.flatnonzero(~(block.trace_residual <= TRACE_TOL))
+        if drift.size:
+            i = drift[0]
+            raise SolverError(
+                f"total trace drifts from 1 by {block.trace_residual[i]:.3e} at t = {t[i]:.17g}, "
+                f"beyond TRACE_TOL = {TRACE_TOL:g}"
+            )
+        yield block
 
 
 def evolve(model: LindbladRateModel, rho0: np.ndarray, grid) -> EvolutionResult:
     """Evolve the stacked state over a time grid starting at 0 with the exact
-    exponential (see :func:`_propagate_exact`)."""
-    times = _grid_array(grid)
-    gen = assemble_generator(model)
-    y0 = embed_channels(model.weights, vectorize(_check_density(rho0, model.dim)))
-    ys = _propagate_exact(gen.matrix, y0, times)
-    return _package_result(times, ys, gen.num_channels)
+    exponential (see :func:`_propagate_blocks`).  Raises :class:`SolverError`
+    where the total trace drifts from 1 (see :func:`_evolve_blocks`)."""
+    blocks = [vars(block).values() for block in _evolve_blocks(model, rho0, grid)]
+    return EvolutionResult(*map(np.concatenate, zip(*blocks)))
 
 
 def _package_result(times: np.ndarray, ys: np.ndarray, k: int) -> EvolutionResult:

@@ -18,15 +18,18 @@ import lindbladrate
 from lindbladrate import cli, solver
 from lindbladrate.cli import main
 from lindbladrate.config import (
-    _CSV_ROWS,
     ConfigError,
     ModelSource,
     OutputTable,
+    _csv_chunk,
     _decimal,
     _matrix,
     emit_csv,
     parse_config,
 )
+from lindbladrate.solver import _BLOCK_ROWS
+
+from test_output_bytes import _RATE33, _STATE3
 
 BASE_CONFIG = {
     "model": {"type": "preset", "name": "fig2"},
@@ -262,14 +265,14 @@ class TestEmitCsv:
         return OutputTable([f"c{i}" for i in range(width)], values)
 
     def test_bytes_match_per_cell_reference_across_blocks(self, tmp_path, rng):
-        for count in (1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 3 * _CSV_ROWS + 7):
+        for count in (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7):
             table = self._table(rng, count)
             path = tmp_path / f"rows{count}.csv"
             emit_csv(table, str(path))
             assert path.read_bytes() == self._reference_text(table).encode("utf-8"), count
 
     def test_stdout_gets_the_same_bytes(self, tmp_path, rng, capsys):
-        table = self._table(rng, _CSV_ROWS + 3)
+        table = self._table(rng, _BLOCK_ROWS + 3)
         capsys.readouterr()
         emit_csv(table, None)
         assert capsys.readouterr().out == self._reference_text(table)
@@ -313,7 +316,7 @@ class TestEmitCsv:
     def test_hard_cells_match_reference_across_chunk_boundaries(self, tmp_path):
         # cycled, so that every chunk and the rows on both sides of each
         # chunk boundary hold hard cells
-        values = np.resize(self._hard_values(), (2 * _CSV_ROWS + 3, 5))
+        values = np.resize(self._hard_values(), (2 * _BLOCK_ROWS + 3, 5))
         table = OutputTable([f"c{i}" for i in range(5)], values)
         path = tmp_path / "hard.csv"
         emit_csv(table, str(path))
@@ -993,6 +996,76 @@ class TestCliCommands:
     def test_unknown_preset_usage_error(self, tmp_path, capsys):
         payload = dict(BASE_CONFIG, model={"type": "preset", "name": "fig9"})
         assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
+
+
+# fig1-lower's zero eigenvalues carry ~2e-17 of rounding, which eigenpropagation
+# multiplies by t: on this grid the total trace first drifts beyond 1e-10 at
+# row 1937 (t ~ 4.9e6), in the second block of rows.
+_DRIFTING_LOG_GRID = {
+    "model": {"type": "preset", "name": "fig1-lower"},
+    "grid": {"stop": 1e12, "count": 3000, "spacing": "log", "decades": 15},
+}
+
+
+class TestStreamedEvolve:
+    """``lre evolve`` propagates, tabulates and writes one block of rows at a time."""
+
+    def test_trace_drift_exit_3_naming_time_and_drift(self, tmp_path, capsys):
+        # used to exit 0 with rows whose populations sum to 0.031 and 0.00097
+        payload = {"model": {"type": "preset", "name": "fig2"}, "grid": {"stop": 1e18, "count": 3}}
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "engine failure: total trace drifts from 1 by 9.689e-01 at t = 5e+17, beyond TRACE_TOL = 1e-10\n"
+        )
+        assert not out.exists()
+
+    def test_drift_in_a_later_block_removes_the_file(self, tmp_path, capsys, monkeypatch):
+        formatted = []
+        monkeypatch.setattr("lindbladrate.config._csv_chunk", lambda *a: formatted.append(len(a[0])) or _csv_chunk(*a))
+        cfg = write_config(tmp_path, _DRIFTING_LOG_GRID)
+        t = parse_config(json.dumps(_DRIFTING_LOG_GRID)).grid[1937]
+        message = f"engine failure: total trace drifts from 1 by 1.011e-10 at t = {t:.17g}, beyond TRACE_TOL = 1e-10\n"
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == message
+        assert formatted == [_BLOCK_ROWS] and not out.exists()
+        # stdout cannot take back the first block
+        assert main(["evolve", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out.count("\n") == 1 + _BLOCK_ROWS
+
+    def test_failure_in_a_later_block_removes_the_file(self, tmp_path, capsys, monkeypatch):
+        tables = []
+        table = cli.deterministic_table
+
+        def third_fails(block):
+            tables.append(len(block.times))
+            if len(tables) == 3:
+                raise ValueError("injected")
+            return table(block)
+
+        monkeypatch.setattr(cli, "deterministic_table", third_fails)
+        payload = dict(BASE_CONFIG, grid={"stop": 10.0, "count": 4000})
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "engine failure: injected\n"
+        assert tables == [_BLOCK_ROWS] * 3 and not out.exists()
+
+    def test_long_grid_memory_stays_bounded(self, tmp_path):
+        # the whole 50,000-point grid of a (3,3) model held (T, K d**2) arrays of
+        # ~22 MB each and peaked at 44.6 MB; one block of rows needs ~4 MB
+        payload = {"model": _RATE33, "initial_state": _STATE3, "grid": {"stop": 10.0, "count": 50000}}
+        argv = ["evolve", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "long.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+        assert (tmp_path / "long.csv").read_bytes().count(b"\n") == 50001
 
 
 class TestModelSources:

@@ -4,17 +4,30 @@ Each command's stdout (the CSV table, or the ``stationary`` report) is
 pinned by its sha256, the first five preset commands recorded at commit
 ``dd006cb``, the two config commands at ``4c18cc9``, the two fig1
 ``traj`` commands at ``95e051a`` and the walk-rare and walk3 ``traj``
-commands at ``fd178dd``.  A refactor that claims to
+commands at ``fd178dd``, and the multi-block ``evolve`` commands at
+``9ba98f6``.  A refactor that claims to
 leave the output unchanged must keep every digest; a change that moves a
 byte on purpose updates the digest and says why.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import lindbladrate
 from lindbladrate.cli import main
+from lindbladrate.config import deterministic_table, emit_csv, parse_config
+from lindbladrate.solver import evolve
+
+from test_linalg import _ALTERNATIVE_ENVIRONMENTS
 
 PINNED = {
     "evolve --preset fig1-lower": "451335a75cb8aae7d11b5430729a044ee377c0967db60fd6550dc3a8210976b4",
@@ -103,6 +116,76 @@ CONFIG_PINNED = {
 }
 
 
+def random_rate_section(d: int, k: int, seed: int) -> dict:
+    """A random coupled (d, K) rate model in the matrix-unit basis.  Each block
+    is ``X X^H / 50`` of a small complex integer ``X``, which every BLAS forms
+    exactly, so the config (and its PSD blocks) do not depend on the host."""
+    rng = np.random.default_rng(seed)
+    m = d * d
+
+    def ints(shape):
+        return rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape)
+
+    def pairs(a):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+    blocks = [[pairs(x @ x.conj().T / 50) for x in ints((k, m, m))] for _ in range(k)]
+    hams = [pairs((h + h.conj().T) / 20) for h in ints((k, d, d))]
+    weights = rng.integers(1, 6, size=k)
+    return {
+        "type": "rate",
+        "basis": np.eye(m).reshape(m, d, d).tolist(),
+        "weights": (weights / weights.sum()).tolist(),
+        "diagonal_blocks": [blocks[r][r] for r in range(k)],
+        "offdiagonal_blocks": [
+            {"to": r, "from": rp, "block": blocks[r][rp]} for r in range(k) for rp in range(k) if rp != r
+        ],
+        "hamiltonians": hams,
+    }
+
+
+_STATE3 = [[0.5, 0.1, 0], [0.1, 0.3, [0, 0.05]], [0, [0, -0.05], 0.2]]
+_RATE33 = random_rate_section(3, 3, seed=4)
+
+# Grids longer than one propagation block (1024 rows, the CSV writer's
+# chunk), so rows are propagated and written in pieces; 1025, 2049 and 3073
+# leave one row past the last full block.  The walk's self-generators are
+# defective (W = 1/4), so evolve steps with expm across the block edges.
+MULTI_BLOCK_PINNED = {
+    "evolve fig1-lower-log-3073": (
+        {"model": {"type": "preset", "name": "fig1-lower"}, "grid": {"stop": 20.0, "count": 3073, "spacing": "log"}},
+        "1c4cb60647933ed7c5f504cc2b920f4f3a2741057b39f3335774e686762c3a00",
+    ),
+    "evolve rate-1025": (
+        {"model": _RATE, "initial_state": _STATE, "grid": {"stop": 4.0, "count": 1025}},
+        "1f3b459d355dc876ff92ddd8f2249ba6093ded1c425e1f9e39ec5a3f730e3ced",
+    ),
+    "evolve rate-2049": (
+        {"model": _RATE, "initial_state": _STATE, "grid": {"stop": 4.0, "count": 2049}},
+        "22f7cf5918b5dd8435dbf51067dd41a435344dd2631a91c5ddf5fa1c2a38bf53",
+    ),
+    "evolve rate3x3-2049": (
+        {"model": _RATE33, "initial_state": _STATE3, "grid": {"stop": 5.0, "count": 2049}},
+        "a3ef345e665ad6adf41c6cf3a29ecf25ddd86d9fa6a93e6d2135795673a4b688",
+    ),
+    "evolve walk-w0.25-1025": (
+        {
+            "model": {
+                "type": "walk",
+                "basis": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]],
+                "hamiltonian": [[0, 0.125], [0.125, 0]],
+                "channel_dissipators": [[[1, 0], [0, 0]]] * 2,
+                "hop_rates": [[0.0, 1.0], [0.5, 0.0]],
+                "jump_kraus": [[[[1, 0], [0, 1]]]] * 2,
+                "weights": [0.5, 0.5],
+            },
+            "grid": {"stop": 5.0, "count": 1025},
+        },
+        "def1b254458d16825053f662040571c7a885185e96348f1af157256d221bd2f8",
+    ),
+}
+
+
 @pytest.mark.parametrize("command", list(PINNED))
 def test_stdout_bytes_pinned(capsys, command):
     assert main(command.split()) == 0
@@ -110,14 +193,84 @@ def test_stdout_bytes_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
 
 
-@pytest.mark.parametrize("command", list(CONFIG_PINNED))
+@pytest.mark.parametrize("command", list(CONFIG_PINNED) + list(MULTI_BLOCK_PINNED))
 def test_config_stdout_bytes_pinned(tmp_path, capsys, command):
     # walk self-generators and random rate models reach the superoperator
     # builders through other paths than the presets do
-    config, digest = CONFIG_PINNED[command]
+    config, digest = {**CONFIG_PINNED, **MULTI_BLOCK_PINNED}[command]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     name, _, *options = command.split()
     assert main([name, "--config", str(path), *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [c for c in MULTI_BLOCK_PINNED if "walk" not in c])
+def test_evolve_api_concatenates_to_the_pinned_bytes(capsys, command):
+    # evolve() joins the blocks that lre evolve writes one at a time
+    config, digest = MULTI_BLOCK_PINNED[command]
+    run = parse_config(json.dumps(config))
+    model, _ = run.model.build()
+    emit_csv(deterministic_table(evolve(model, run.initial_state, run.grid)), None)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_RUN_IN_CHILD = """
+import contextlib, io, json, sys
+from lindbladrate.cli import main
+
+outputs = []
+for argv in json.load(open(sys.argv[1])):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        outputs.append([main(argv), out.getvalue()])
+print(json.dumps(outputs))
+"""
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+PORTABLE_BOUND = 1.4e-14  # the largest CSV difference measured across these environments (README, "CLI")
+
+
+def _lines(text: str) -> list[tuple[str, list[float]]]:
+    """Each line's text with its numbers cut out, and the numbers."""
+    return [(_NUMBER.sub("#", line), [float(x) for x in _NUMBER.findall(line)]) for line in text.splitlines()]
+
+
+def test_pinned_commands_stay_within_the_portable_bound(tmp_path):
+    # other BLAS kernels and numpy loops move some pins, but no value by more
+    # than the bound; the environment is set on the children only
+    argvs = [command.split() for command in PINNED]
+    for i, (command, (config, _)) in enumerate({**CONFIG_PINNED, **MULTI_BLOCK_PINNED}.items()):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(config))
+        name, _, *options = command.split()
+        argvs.append([name, "--config", str(path), *options])
+    commands = tmp_path / "commands.json"
+    commands.write_text(json.dumps(argvs))
+    src = os.path.dirname(os.path.dirname(lindbladrate.__file__))
+    children = [  # they run while this process computes its own outputs
+        subprocess.Popen(
+            [sys.executable, "-c", _RUN_IN_CHILD, str(commands)],
+            env=dict(os.environ, PYTHONPATH=src, **extra_env),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for extra_env in _ALTERNATIVE_ENVIRONMENTS.values()
+    ]
+    try:
+        here = []
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                here.append([main(argv), out.getvalue()])
+        elsewhere = [json.loads(child.communicate(timeout=120)[0]) for child in children]
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    for name, outputs in zip(_ALTERNATIVE_ENVIRONMENTS, elsewhere):
+        for argv, (code, text), (code_here, text_here) in zip(argvs, outputs, here):
+            assert code == code_here == 0, (name, argv)
+            lines, lines_here = _lines(text), _lines(text_here)
+            assert [skeleton for skeleton, _ in lines] == [skeleton for skeleton, _ in lines_here], (name, argv)
+            values = np.array([x for _, numbers in lines for x in numbers])
+            values_here = np.array([x for _, numbers in lines_here for x in numbers])
+            assert np.abs(values - values_here).max() <= PORTABLE_BOUND, (name, argv)

@@ -104,22 +104,39 @@ class TestEvolve:
 
     def test_expm_fallback_steps_once_per_new_grid_time(self, monkeypatch):
         # Jordan blocks leave no reliable eigenbasis, so the exact path steps
-        # with expm; a diagonalizable generator never calls it
+        # with expm, carrying the state across blocks; a diagonalizable
+        # generator never calls it
         expm = scipy.linalg.expm
         calls = []
         monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+        monkeypatch.setattr(solver, "_BLOCK_ROWS", 4)
         jordan = scipy.linalg.block_diag([[-1.0, 1.0], [0.0, -1.0]], [[-2.0, 1.0], [0.0, -2.0]]).astype(complex)
         y0 = np.array([0.3, 0.7, -0.2, 0.4 + 0.1j])
         grid = np.linspace(0, 5, 11)
-        ys = solver._propagate_exact(jordan, y0, grid)
+
+        def propagate(gen):
+            blocks = list(solver._propagate_blocks(gen, y0, grid))
+            assert [len(t) for t, _ in blocks] == [4, 4, 3]
+            assert np.array_equal(np.concatenate([t for t, _ in blocks]), grid)
+            return np.concatenate([ys for _, ys in blocks])
+
+        ys = propagate(jordan)
         assert len(calls) == grid.size - 1
         for t, y in zip(grid, ys):
             np.testing.assert_allclose(y, expm(t * jordan) @ y0, rtol=0, atol=1e-15)
         calls.clear()
         diagonalizable = np.diag([0.0, -1.0, -2.0 + 1.0j, -2.0 - 1.0j])
-        ys = solver._propagate_exact(diagonalizable, y0, grid)
+        ys = propagate(diagonalizable)
         assert calls == []
         np.testing.assert_allclose(ys, y0 * np.exp(np.multiply.outer(grid, np.diag(diagonalizable))), atol=1e-15)
+
+    def test_trace_drift_refused(self):
+        # rounding in the zero eigenvalues (~7e-18 on fig2) grows with t
+        model, _ = dephasing_model(PRESETS["fig2"])
+        rho0 = np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert evolve(model, rho0, [0.0, 1e3]).trace_residual.max() < 1e-13
+        with pytest.raises(SolverError, match=r"drifts from 1 by 9\.689e-01 at t = 5e\+17"):
+            evolve(model, rho0, [0.0, 5e17, 1e18])
 
     def test_conservation_diagnostics(self, rng):
         model = random_rate_model(rng, d=2, k=3)
