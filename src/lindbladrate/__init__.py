@@ -23,6 +23,7 @@ from .model import (
     CPValidationError,
     LindbladRateModel,
     MarkovDecayError,
+    ModelFieldError,
     ModelStructureError,
     OperatorBasis,
     StackedGenerator,

@@ -18,11 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import check_seed
-from .linalg import HERMITIAN_TOL, hermiticity_residual, min_eigenvalue
-from .model import LindbladRateModel, OperatorBasis, _check_density, build_from_correlations, reduce_from_tripartite
+from .linalg import min_eigenvalue
+from .model import (
+    LindbladRateModel,
+    ModelFieldError,
+    OperatorBasis,
+    _check_density,
+    build_from_correlations,
+    reduce_from_tripartite,
+)
 from .qubit import PRESETS, dephasing_model
 from .solver import _BLOCK_ROWS
-from .stochastic import JumpMapError, StochasticModel, convert_walk_to_rate_model
+from .stochastic import StochasticModel, convert_walk_to_rate_model
 
 __all__ = ["ConfigError", "RunConfig", "OutputTable", "parse_config", "load_config", "emit_csv"]
 
@@ -153,35 +160,6 @@ def _sized_matrix(value, size: int, why: str, path: str) -> np.ndarray:
     return out
 
 
-def _hamiltonian(value, dim: int, path: str) -> np.ndarray:
-    """A Hermitian ``(dim, dim)`` matrix."""
-    out = _sized_matrix(value, dim, f"system dimension {dim}", path)
-    residual = hermiticity_residual(out)
-    if residual > HERMITIAN_TOL:
-        raise ConfigError(path, f"Hamiltonian is not Hermitian (residual {residual:.3e})")
-    return out
-
-
-def _sized_matrix_list(value, size: int, why: str, path: str) -> list[np.ndarray]:
-    return [_sized_matrix(m, size, why, f"{path}[{i}]") for i, m in enumerate(_list(value, path))]
-
-
-def _check_channels(items: list, k: int, path: str) -> None:
-    if len(items) != k:
-        raise ConfigError(path, f"expected one entry per channel ({k} weights), got {len(items)}")
-
-
-def _parse_weights(value, path: str, k: int | None = None) -> np.ndarray:
-    """Channel weights: nonnegative, summing to 1, and ``k`` of them when the
-    channel count ``k`` comes from another field."""
-    weights = _real_vector(value, path)
-    if k is not None and weights.shape[0] != k:
-        raise ConfigError(path, f"expected {k} weights, one per channel, got {weights.shape[0]}")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
-        raise ConfigError(path, f"weights must be nonnegative and sum to 1, got {weights.tolist()}")
-    return weights
-
-
 @dataclass
 class ModelSource:
     """Parsed ``model`` section: a preset name, or the parsed rate model (and walk)."""
@@ -266,61 +244,36 @@ def _parse_basis(section, path: str) -> OperatorBasis:
 
 def _parse_rate_model(section, path: str) -> LindbladRateModel:
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
-    d, m = basis.dim, basis.size
-    weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
-    k = weights.shape[0]
-    size_why = f"basis size {m}"
-    diagonal = _sized_matrix_list(_require(section, "diagonal_blocks", path), m, size_why, f"{path}.diagonal_blocks")
-    _check_channels(diagonal, k, f"{path}.diagonal_blocks")
+    weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
+    k, m = weights.shape[0], basis.size
+    diagonal = _matrix_list(_require(section, "diagonal_blocks", path), f"{path}.diagonal_blocks")
     offdiag = {}
     for i, ent in enumerate(_list(section.get("offdiagonal_blocks", []), f"{path}.offdiagonal_blocks")):
         epath = f"{path}.offdiagonal_blocks[{i}]"
         _check_keys(ent, ("to", "from", "block"), epath)
         r = _index(_require(ent, "to", epath), k, f"{epath}.to")
         rp = _index(_require(ent, "from", epath), k, f"{epath}.from")
-        offdiag[(r, rp)] = _sized_matrix(_require(ent, "block", epath), m, size_why, f"{epath}.block")
+        offdiag[(r, rp)] = _sized_matrix(_require(ent, "block", epath), m, f"basis size {m}", f"{epath}.block")
     hams = sys_h = None
     if "hamiltonians" in section:
-        hams = _list(section["hamiltonians"], f"{path}.hamiltonians")
-        hams = np.array([_hamiltonian(h, d, f"{path}.hamiltonians[{i}]") for i, h in enumerate(hams)])
+        hams = _matrix_list(section["hamiltonians"], f"{path}.hamiltonians")
     if "system_hamiltonian" in section:
-        sys_h = _hamiltonian(section["system_hamiltonian"], d, f"{path}.system_hamiltonian")
-    try:
-        return LindbladRateModel.from_blocks(basis, weights, np.array(diagonal), offdiag, hams, sys_h)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        sys_h = _matrix(section["system_hamiltonian"], f"{path}.system_hamiltonian")
+    return LindbladRateModel.from_blocks(basis, weights, diagonal, offdiag, hams, sys_h)
 
 
 def _parse_walk_model(section, path: str) -> dict:
     """The walk and its rate model, ``{"walk": ..., "rate": ...}``."""
     basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
-    d, m = basis.dim, basis.size
-    dim_why, size_why = f"system dimension {d}", f"basis size {m}"
-    hamiltonian = _hamiltonian(_require(section, "hamiltonian", path), d, f"{path}.hamiltonian")
-    dissipators = _sized_matrix_list(
-        _require(section, "channel_dissipators", path), m, size_why, f"{path}.channel_dissipators"
-    )
+    hamiltonian = _matrix(_require(section, "hamiltonian", path), f"{path}.hamiltonian")
+    dissipators = _matrix_list(_require(section, "channel_dissipators", path), f"{path}.channel_dissipators")
     hop_rows = _list(_require(section, "hop_rates", path), f"{path}.hop_rates")
     hop_rates = [_real_vector(row, f"{path}.hop_rates[{i}]") for i, row in enumerate(hop_rows)]
     kraus_sets = _list(_require(section, "jump_kraus", path), f"{path}.jump_kraus")
-    kraus = [_sized_matrix_list(ops, d, dim_why, f"{path}.jump_kraus[{i}]") for i, ops in enumerate(kraus_sets)]
-    weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
-    k = weights.shape[0]
-    _check_channels(dissipators, k, f"{path}.channel_dissipators")
-    _check_channels(hop_rates, k, f"{path}.hop_rates")
-    for i, row in enumerate(hop_rates):
-        _check_shape(row, (k,), f"one rate per channel, {k} weights", f"{path}.hop_rates[{i}]")
-        if np.any(row < 0) or row[i] != 0:
-            why = f"rates must be nonnegative with entry [{i}] zero (no self transfers)"
-            raise ConfigError(f"{path}.hop_rates[{i}]", f"{why}, got {row.tolist()}")
-    _check_channels(kraus, k, f"{path}.jump_kraus")
-    try:
-        walk = StochasticModel(basis, hamiltonian, dissipators, hop_rates, kraus, weights)
-        return {"walk": walk, "rate": convert_walk_to_rate_model(walk, basis)}
-    except JumpMapError as exc:
-        raise ConfigError(f"{path}.jump_kraus[{exc.channel}]", str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    kraus = [_matrix_list(ops, f"{path}.jump_kraus[{i}]") for i, ops in enumerate(kraus_sets)]
+    weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
+    walk = StochasticModel(basis, hamiltonian, dissipators, hop_rates, kraus, weights)
+    return {"walk": walk, "rate": convert_walk_to_rate_model(walk, basis)}
 
 
 # The keys of each model type besides ``type``.
@@ -330,6 +283,13 @@ _MODEL_KEYS = {
     "walk": ("basis", "hamiltonian", "channel_dissipators", "hop_rates", "jump_kraus", "weights"),
     "tripartite": ("basis", "channels", "b", "weights"),
     "correlations": ("basis", "tau", "chi", "system_hamiltonian", "weights", "quadrature"),
+}
+# The config keys of the constructor arguments named otherwise.
+_FIELD_KEYS = {
+    "diagonal": "diagonal_blocks",
+    "offdiagonal": "offdiagonal_blocks",
+    "dissipator_blocks": "channel_dissipators",
+    "kraus_maps": "jump_kraus",
 }
 
 
@@ -343,40 +303,36 @@ def _parse_model(section, path: str) -> ModelSource:
         if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"{path}.name", f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         return ModelSource("preset", {"name": name})
-    if kind == "rate":
-        return ModelSource("rate", {"rate": _parse_rate_model(section, path)})
-    if kind == "walk":
-        return ModelSource("walk", _parse_walk_model(section, path))
-    if kind == "tripartite":
+    # the model constructors check the invariants, naming the argument
+    try:
+        if kind == "rate":
+            return ModelSource("rate", {"rate": _parse_rate_model(section, path)})
+        if kind == "walk":
+            return ModelSource("walk", _parse_walk_model(section, path))
         basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
-        k = _require(section, "channels", path)
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ConfigError(f"{path}.channels", f"must be an integer >= 1, got {k!r}")
-        raw = _list(_require(section, "b", path), f"{path}.b")
-        m = basis.size
-        b = np.zeros((k * k, k * k, m, m), dtype=complex)
-        for i, ent in enumerate(raw):
-            epath = f"{path}.b[{i}]"
-            _check_keys(ent, ("u", "v", "block"), epath)
-            u, v = (_pair(_require(ent, key, epath), k, f"{epath}.{key}") for key in ("u", "v"))
-            b[u, v] = _sized_matrix(_require(ent, "block", epath), m, f"basis size {m}", f"{epath}.block")
-        weights = _parse_weights(section["weights"], f"{path}.weights", k) if "weights" in section else None
-        try:
+        if kind == "tripartite":
+            k = _require(section, "channels", path)
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                raise ConfigError(f"{path}.channels", f"must be an integer >= 1, got {k!r}")
+            raw = _list(_require(section, "b", path), f"{path}.b")
+            m = basis.size
+            b = np.zeros((k * k, k * k, m, m), dtype=complex)
+            for i, ent in enumerate(raw):
+                epath = f"{path}.b[{i}]"
+                _check_keys(ent, ("u", "v", "block"), epath)
+                u, v = (_pair(_require(ent, key, epath), k, f"{epath}.{key}") for key in ("u", "v"))
+                b[u, v] = _sized_matrix(_require(ent, "block", epath), m, f"basis size {m}", f"{epath}.block")
+            weights = _real_vector(section["weights"], f"{path}.weights") if "weights" in section else None
             return ModelSource("rate", {"rate": reduce_from_tripartite(b, k, basis, weights)})
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    if kind == "correlations":
-        basis = _parse_basis(_require(section, "basis", path), f"{path}.basis")
         tau = _real_vector(_require(section, "tau", path), f"{path}.tau")
         chi = _require(section, "chi", path)  # nested number lists; build_from_correlations converts them
-        h_sys = _hamiltonian(_require(section, "system_hamiltonian", path), basis.dim, f"{path}.system_hamiltonian")
-        weights = _parse_weights(_require(section, "weights", path), f"{path}.weights")
-        try:
-            blocks = build_from_correlations(chi, tau, h_sys, basis, section.get("quadrature", "simpson"))
-            model = LindbladRateModel(basis, weights, blocks, None, h_sys)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(path, str(exc)) from exc
-        return ModelSource("rate", {"rate": model})
+        h_sys = _matrix(_require(section, "system_hamiltonian", path), f"{path}.system_hamiltonian")
+        weights = _real_vector(_require(section, "weights", path), f"{path}.weights")
+        blocks = build_from_correlations(chi, tau, h_sys, basis, section.get("quadrature", "simpson"))
+        return ModelSource("rate", {"rate": LindbladRateModel(basis, weights, blocks, None, h_sys)})
+    except ModelFieldError as exc:
+        name, bracket, index = exc.field.partition("[")
+        raise ConfigError(f"{path}.{_FIELD_KEYS.get(name, name)}{bracket}{index}", exc.reason) from exc
 
 
 def parse_config(text: str) -> RunConfig:

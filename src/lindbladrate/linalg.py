@@ -279,9 +279,10 @@ def eig_factor(gen: np.ndarray):
         error = np.linalg.norm((vecs * vals) @ inv - gen)
     except np.linalg.LinAlgError:  # singular eigenvector matrix
         error = np.inf
-    if not error <= EIG_TOL * scale:
+    residual = error / scale  # NaN when the norm of gen overflows, and refused
+    if not residual <= EIG_TOL:
         raise np.linalg.LinAlgError(
-            f"not reliably diagonalizable: eigendecomposition residual {error / scale:.3e} "
+            f"not reliably diagonalizable: eigendecomposition residual {residual:.3e} "
             f"exceeds EIG_TOL = {EIG_TOL:g}"
         )
     return vals, vecs, inv

@@ -43,6 +43,7 @@ __all__ = [
     "StackedGenerator",
     "BlockReport",
     "ValidationReport",
+    "ModelFieldError",
     "ModelStructureError",
     "MarkovDecayError",
     "CPValidationError",
@@ -61,16 +62,60 @@ DECAY_TOL = 1e-8  # correlation tail at the window's end, relative to its peak
 PROJECTION_TOL = 1e-8  # residual of an operator expanded in a basis, relative to max(1, |op|)
 
 
-class ModelStructureError(ValueError):
-    """Input coefficients do not have the required rate-equation structure."""
+class ModelFieldError(ValueError):
+    """A model input breaks an invariant: ``field`` names it (``hop_rates[1]``), ``reason`` says why."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
 
 
-class MarkovDecayError(ValueError):
-    """Correlation samples have not decayed at the end of the time window."""
+class ModelStructureError(ModelFieldError):
+    """Tripartite coefficients ``b`` do not have the rate-equation structure."""
+
+
+class MarkovDecayError(ModelFieldError):
+    """Correlation samples ``chi`` have not decayed at the end of the time window."""
 
 
 class CPValidationError(ValueError):
     """A model failed the complete-positivity block condition of :func:`validate_model`."""
+
+
+def _checked_shape(value, shape: tuple, why: str, field: str, dtype=complex) -> np.ndarray:
+    """``value`` as an array of ``shape``; ``why`` says where the shape comes from."""
+    out = np.asarray(value, dtype=dtype)
+    if out.shape != shape:
+        raise ModelFieldError(field, f"expected shape {shape} ({why}), got {out.shape}")
+    return out
+
+
+def _checked_hamiltonian(value, dim: int, field: str) -> np.ndarray:
+    """A Hermitian ``(dim, dim)`` matrix."""
+    h = _checked_shape(value, (dim, dim), f"system dimension {dim}", field)
+    residual = hermiticity_residual(h)
+    if not residual <= HERMITIAN_TOL:  # NaN, from a norm that overflows, is refused too
+        raise ModelFieldError(field, f"Hamiltonian is not Hermitian (residual {residual:.3e})")
+    return h
+
+
+def _checked_weights(value) -> np.ndarray:
+    """Channel weights: a vector of nonnegative numbers summing to 1."""
+    weights = np.asarray(value, dtype=float)
+    if weights.ndim != 1 or not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-10):
+        raise ModelFieldError("weights", f"weights must be nonnegative and sum to 1, got {weights.tolist()}")
+    return weights
+
+
+def _per_channel(items, k: int, field: str, shape: tuple | None = None, why: str = "", dtype=complex) -> list:
+    """``items`` as a list of one entry per channel, each of ``shape`` when one is given."""
+    items = list(items)
+    if len(items) != k:
+        raise ModelFieldError(field, f"expected one entry per channel ({k} weights), got {len(items)}")
+    if shape is not None:
+        items = [_checked_shape(item, shape, why, f"{field}[{r}]", dtype) for r, item in enumerate(items)]
+    return items
 
 
 @dataclass
@@ -131,7 +176,9 @@ class LindbladRateModel:
     the off-diagonal block feeding ``R`` from ``R'``.  ``system_hamiltonian``
     is the channel-independent part of the Hamiltonians, used only to split
     the generator for memory-kernel extraction; it defaults to zero.
-    Models are treated as immutable once validated.
+    Models are treated as immutable once validated.  Construction checks
+    shapes, weights and Hermitian Hamiltonians (raising :class:`ModelFieldError`);
+    complete positivity is left to :func:`validate_model`.
     """
 
     basis: OperatorBasis
@@ -141,24 +188,22 @@ class LindbladRateModel:
     system_hamiltonian: np.ndarray | None = None  # (d, d)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        k = self.weights.shape[0]
         m, d = self.basis.size, self.basis.dim
         self.blocks = np.asarray(self.blocks, dtype=complex)
-        if self.blocks.shape != (k, k, m, m):
-            raise ValueError(f"blocks must be {(k, k, m, m)}, got {self.blocks.shape}")
+        k = self.blocks.shape[0] if self.blocks.ndim else 0
+        _checked_shape(self.blocks, (k, k, m, m), f"K channels, basis size {m}", "blocks")
+        self.weights = _checked_weights(self.weights)
+        if self.weights.shape[0] != k:
+            raise ModelFieldError("weights", f"expected {k} weights, one per channel, got {self.weights.shape[0]}")
         if self.hamiltonians is None:
             self.hamiltonians = np.zeros((k, d, d), dtype=complex)
         else:
-            self.hamiltonians = np.asarray(self.hamiltonians, dtype=complex)
-            if self.hamiltonians.shape != (k, d, d):
-                raise ValueError(f"hamiltonians must be {(k, d, d)}")
+            hams = _per_channel(self.hamiltonians, k, "hamiltonians")
+            self.hamiltonians = np.array([_checked_hamiltonian(h, d, f"hamiltonians[{r}]") for r, h in enumerate(hams)])
         if self.system_hamiltonian is None:
             self.system_hamiltonian = np.zeros((d, d), dtype=complex)
         else:
-            self.system_hamiltonian = np.asarray(self.system_hamiltonian, dtype=complex)
-            if self.system_hamiltonian.shape != (d, d):
-                raise ValueError(f"system_hamiltonian must be {(d, d)}")
+            self.system_hamiltonian = _checked_hamiltonian(self.system_hamiltonian, d, "system_hamiltonian")
 
     @classmethod
     def from_blocks(
@@ -171,15 +216,13 @@ class LindbladRateModel:
         system_hamiltonian=None,
     ) -> "LindbladRateModel":
         """Build from per-channel diagonal blocks and a pair-keyed dict."""
-        weights = np.asarray(weights, dtype=float)
-        k, m = weights.shape[0], basis.size
+        k, m = len(weights), basis.size
         blocks = np.zeros((k, k, m, m), dtype=complex)
-        diagonal = np.asarray(diagonal, dtype=complex)
-        for r in range(k):
-            blocks[r, r] = diagonal[r]
+        for r, block in enumerate(_per_channel(diagonal, k, "diagonal", (m, m), f"basis size {m}")):
+            blocks[r, r] = block
         for (r, rp), mat in (offdiagonal or {}).items():
             if r == rp:
-                raise ValueError(f"off-diagonal tag ({r}, {rp}) must have distinct channels")
+                raise ModelFieldError("offdiagonal", f"off-diagonal tag ({r}, {rp}) must have distinct channels")
             blocks[r, rp] = np.asarray(mat, dtype=complex)
         return cls(basis, weights, blocks, hamiltonians, system_hamiltonian)
 
@@ -323,13 +366,13 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"state must be {(dim, dim)}, got {rho.shape}")
-    if hermiticity_residual(rho) > HERMITIAN_TOL:
+    if not hermiticity_residual(rho) <= HERMITIAN_TOL:
         raise ValueError("initial state is not Hermitian")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"initial state trace {tr} is not 1")
     min_eig = float(min_eigenvalue(rho))
-    if min_eig < -PSD_TOL:
+    if not min_eig >= -PSD_TOL:
         raise ValueError(f"initial state has negative eigenvalue {min_eig:.3e}")
     return rho
 
@@ -351,20 +394,19 @@ def reduce_from_tripartite(
     """
     k = num_channels
     m = basis.size
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (k * k, k * k, m, m):
-        raise ValueError(f"b must have shape {(k * k, k * k, m, m)}, got {b.shape}")
-    if hermiticity_residual(b.transpose(0, 2, 1, 3).reshape(k * k * m, k * k * m)) > HERMITIAN_TOL:
-        raise ModelStructureError("coefficient set is not Hermitian in the joint (pair, basis) index")
+    b = _checked_shape(b, (k * k, k * k, m, m), f"{k} channels, basis size {m}", "b")
+    if not hermiticity_residual(b.transpose(0, 2, 1, 3).reshape(k * k * m, k * k * m)) <= HERMITIAN_TOL:
+        raise ModelStructureError("b", "coefficient set is not Hermitian in the joint (pair, basis) index")
     scale = max(1.0, float(np.abs(b).max()))
     for u in range(k * k):
         for v in range(k * k):
             if u == v:
                 continue
             off = float(np.abs(b[u, v]).max())
-            if off > STRUCTURE_TOL * scale:
+            if not off <= STRUCTURE_TOL * scale:
                 pair_u, pair_v = divmod(u, k), divmod(v, k)
                 raise ModelStructureError(
+                    "b",
                     f"pair-off-diagonal coefficients at (u, v) = ({pair_u}, {pair_v}) "
                     f"have magnitude {off:.3e}; not of rate-equation form"
                 )
@@ -395,24 +437,27 @@ def build_from_correlations(
     ``Z.T + conj(Z)`` with ``Z = integral chi(-tau) C(-tau) dtau``, which
     is Hermitian by construction.  Returns a ``(K, K, m, m)`` block array.
     """
-    chi = np.asarray(chi, dtype=complex)
-    tau = np.asarray(tau, dtype=float)
     m, d = basis.size, basis.dim
-    if (
-        chi.ndim != 5
-        or chi.shape[0] != chi.shape[1]
-        or chi.shape[2] != tau.shape[0]
-        or chi.shape[3:] != (m, m)
-    ):
-        raise ValueError(f"chi must be (K, K, n_tau, m, m) matching tau, got {chi.shape}")
-    k = chi.shape[0]
-    if tau.shape[0] < 3 or tau[0] != 0.0:
-        raise ValueError("tau grid must start at 0 with at least 3 points")
+    hs = _checked_hamiltonian(system_hamiltonian, d, "system_hamiltonian")
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or tau.shape[0] < 3 or tau[0] != 0.0:
+        raise ModelFieldError("tau", "tau grid must start at 0 with at least 3 points")
     steps = np.diff(tau)
-    if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
-        raise ValueError("tau grid must be uniform and strictly increasing")
+    if not (np.all(steps > 0) and np.ptp(steps) <= 1e-9 * steps[0]):
+        raise ModelFieldError("tau", "tau grid must be uniform and strictly increasing")
+    try:
+        chi = np.asarray(chi)
+    except ValueError:  # ragged nesting
+        chi = None
+    if chi is None or chi.dtype.kind not in "biufc" or not np.all(np.isfinite(chi)):
+        raise ModelFieldError("chi", "expected nested lists of finite numbers")
+    chi = chi.astype(complex)
+    if chi.ndim != 5 or chi.shape[0] != chi.shape[1] or chi.shape[2:] != (len(tau), m, m):
+        why = f"(K, K, {len(tau)}, {m}, {m}) (tau points, basis size)"
+        raise ModelFieldError("chi", f"expected shape {why}, got {chi.shape}")
+    k = chi.shape[0]
     if quadrature not in ("simpson", "trapezoid"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
+        raise ModelFieldError("quadrature", f"unknown quadrature {quadrature!r}")
 
     for r in range(k):
         for rp in range(k):
@@ -422,13 +467,11 @@ def build_from_correlations(
             tail = float(np.abs(chi[r, rp, -1]).max())
             if tail > DECAY_TOL * peak:
                 raise MarkovDecayError(
+                    "chi",
                     f"correlations of pair ({r}, {rp}) retain {tail / peak:.3e} of their "
                     f"peak at the end of the window; the local-in-time reduction is invalid"
                 )
 
-    hs = np.asarray(system_hamiltonian, dtype=complex)
-    if hermiticity_residual(hs) > HERMITIAN_TOL:
-        raise ValueError("system Hamiltonian must be Hermitian")
     w, u = np.linalg.eigh(0.5 * (hs + hs.conj().T))
 
     coeffs = np.empty((tau.shape[0], m, m), dtype=complex)  # C[k][beta, gamma]
@@ -439,8 +482,9 @@ def build_from_correlations(
         for beta in range(m):
             evolved = left @ basis.ops[beta] @ right
             c, resid = basis.expand(evolved)
-            if resid > PROJECTION_TOL * max(1.0, np.linalg.norm(basis.ops[beta])):
-                raise ValueError(
+            if not resid <= PROJECTION_TOL * max(1.0, np.linalg.norm(basis.ops[beta])):
+                raise ModelFieldError(
+                    "basis",
                     f"evolved basis operator {beta} leaves the basis span at tau={t} "
                     f"(projection residual {resid:.3e})"
                 )
@@ -457,5 +501,7 @@ def build_from_correlations(
             else:
                 z = np.trapezoid(integrand, x=tau, axis=0)
             blocks[r, rp] = z.T + z.conj()
+    if not np.all(np.isfinite(blocks)):
+        raise ModelFieldError("chi", "the integrals of the correlations overflow")
     return blocks
 

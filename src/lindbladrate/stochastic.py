@@ -21,23 +21,25 @@ import numpy as np
 from . import _kernels
 from ._rng import check_seed
 from .linalg import (
-    HERMITIAN_TOL,
     devectorize,
     eig_factor,
     hamiltonian_superop,
-    hermiticity_residual,
     kraus_superop,
     psd_check,
-    trace_vector,
     vectorize,
 )
 from .model import (
     PROJECTION_TOL,
     LindbladRateModel,
+    ModelFieldError,
     OperatorBasis,
     _check_density,
+    _checked_hamiltonian,
+    _checked_shape,
+    _checked_weights,
     _cp_refusal,
     _grid_array,
+    _per_channel,
     dissipator_superop,
 )
 
@@ -49,15 +51,6 @@ __all__ = [
 ]
 
 
-class JumpMapError(ValueError):
-    """The jump map of ``channel`` is not trace preserving, or its Kraus
-    operators leave the basis span."""
-
-    def __init__(self, channel: int, message: str):
-        self.channel = channel
-        super().__init__(f"jump map of channel {channel} {message}")
-
-
 @dataclass
 class StochasticModel:
     """Walk-class model: self-generators, hop rates, jump maps, weights.
@@ -65,7 +58,9 @@ class StochasticModel:
     ``hop_rates[R', R]`` is the rate of transfers R -> R' (diagonal ignored,
     must be zero).  ``dissipator_blocks[R]`` are the self-Lindblad
     coefficients of channel R in ``basis``; the full self-generator is
-    exposed by :meth:`self_generator`.
+    exposed by :meth:`self_generator`, trace preserving by construction.
+    Construction checks shapes, weights, the Hamiltonian, hop-rate rows and
+    jump maps per channel, raising :class:`~lindbladrate.model.ModelFieldError`.
     """
 
     basis: OperatorBasis
@@ -77,33 +72,25 @@ class StochasticModel:
 
     def __post_init__(self):
         d, m = self.basis.dim, self.basis.size
-        self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
-        self.dissipator_blocks = np.asarray(self.dissipator_blocks, dtype=complex)
-        self.hop_rates = np.asarray(self.hop_rates, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _checked_weights(self.weights)
         k = self.weights.shape[0]
-        if self.hamiltonian.shape != (d, d) or hermiticity_residual(self.hamiltonian) > HERMITIAN_TOL:
-            raise ValueError("hamiltonian must be a Hermitian (d, d) matrix")
-        if self.dissipator_blocks.shape != (k, m, m):
-            raise ValueError(f"dissipator_blocks must be {(k, m, m)}")
-        if self.hop_rates.shape != (k, k) or np.any(self.hop_rates < 0):
-            raise ValueError("hop_rates must be a nonnegative (K, K) matrix")
-        if np.any(np.diag(self.hop_rates) != 0):
-            raise ValueError("hop_rates diagonal must be zero (no self transfers)")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-10:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if len(self.kraus_maps) != k:
-            raise ValueError("one Kraus set per channel required")
-        eye = np.eye(d)
-        for r, kraus in enumerate(self.kraus_maps):
-            total = sum(np.asarray(op, dtype=complex).conj().T @ np.asarray(op, dtype=complex) for op in kraus)
-            if np.linalg.norm(total - eye) > 1e-10:
-                raise JumpMapError(r, "is not trace preserving")
-        tau = trace_vector(d)
-        for r in range(k):
-            gen = self.self_generator(r)
-            if np.linalg.norm(tau @ gen) > 1e-10 * max(1.0, np.linalg.norm(gen)):
-                raise ValueError(f"self-generator of channel {r} does not preserve the trace")
+        self.hamiltonian = _checked_hamiltonian(self.hamiltonian, d, "hamiltonian")
+        blocks = _per_channel(self.dissipator_blocks, k, "dissipator_blocks", (m, m), f"basis size {m}")
+        self.dissipator_blocks = np.array(blocks)
+        rows = _per_channel(self.hop_rates, k, "hop_rates", (k,), f"one rate per channel, {k} weights", float)
+        for r, row in enumerate(rows):
+            if not (np.all(row >= 0) and row[r] == 0):
+                why = f"rates must be nonnegative with entry [{r}] zero (no self transfers)"
+                raise ModelFieldError(f"hop_rates[{r}]", f"{why}, got {row.tolist()}")
+        self.hop_rates = np.array(rows)
+        self.kraus_maps = _per_channel(self.kraus_maps, k, "kraus_maps")
+        why = f"system dimension {d}"
+        for r, ops in enumerate(self.kraus_maps):
+            ops = [_checked_shape(op, (d, d), why, f"kraus_maps[{r}][{i}]") for i, op in enumerate(ops)]
+            # not <=, so that NaN, from an entry whose square overflows, is refused too
+            if not np.linalg.norm(sum(op.conj().T @ op for op in ops) - np.eye(d)) <= 1e-10:
+                raise ModelFieldError(f"kraus_maps[{r}]", f"jump map of channel {r} is not trace preserving")
+            self.kraus_maps[r] = ops
 
     @property
     def num_channels(self) -> int:
@@ -273,8 +260,9 @@ def convert_walk_to_rate_model(model: StochasticModel, basis: OperatorBasis) -> 
         coeffs = []
         for op in model.kraus_maps[r]:
             c, resid = basis.expand(np.asarray(op, dtype=complex))
-            if resid > PROJECTION_TOL * max(1.0, np.linalg.norm(op)):
-                raise JumpMapError(r, f"has a Kraus operator not expandable in the basis (residual {resid:.3e})")
+            if not resid <= PROJECTION_TOL * max(1.0, np.linalg.norm(op)):
+                why = f"jump map of channel {r} has a Kraus operator not expandable in the basis"
+                raise ModelFieldError(f"kraus_maps[{r}]", f"{why} (residual {resid:.3e})")
             coeffs.append(c)
         grams.append(sum(np.outer(c, c.conj()) for c in coeffs))
 
@@ -284,8 +272,8 @@ def convert_walk_to_rate_model(model: StochasticModel, basis: OperatorBasis) -> 
         change = np.empty((model.basis.size, m), dtype=complex)
         for alpha in range(model.basis.size):
             c, resid = basis.expand(model.basis.ops[alpha])
-            if resid > PROJECTION_TOL * max(1.0, np.linalg.norm(model.basis.ops[alpha])):
-                raise ValueError(f"model basis operator {alpha} is not expandable in the target basis")
+            if not resid <= PROJECTION_TOL * max(1.0, np.linalg.norm(model.basis.ops[alpha])):
+                raise ModelFieldError("basis", f"model basis operator {alpha} is not expandable in the target basis")
             change[alpha] = c
         diag = np.stack([change.T @ model.dissipator_blocks[r] @ change.conj() for r in range(k)])
 
@@ -295,5 +283,7 @@ def convert_walk_to_rate_model(model: StochasticModel, basis: OperatorBasis) -> 
         for rp in range(k):
             if rp != r:
                 blocks[r, rp] = model.hop_rates[r, rp] * grams[rp]
+        if not np.all(np.isfinite(blocks[r])):
+            raise ModelFieldError(f"hop_rates[{r}]", "a hop rate times its jump map's Gram matrix overflows")
     hams = np.stack([model.hamiltonian] * k)
     return LindbladRateModel(basis, model.weights.copy(), blocks, hams, model.hamiltonian)

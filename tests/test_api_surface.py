@@ -3,7 +3,7 @@
 Every public callable the package exports is listed with the names of its
 parameters (a dataclass's fields, a function's arguments), so a change that
 adds or removes a function, a field or a keyword shows in this file's diff.
-Exception classes take only a message and are listed as ``None``.
+Exception classes are listed as ``None``.
 """
 
 import inspect
@@ -20,6 +20,7 @@ API = {
     "KernelSample": ("u", "kernel", "shifted", "condition", "rank", "residual"),
     "LindbladRateModel": ("basis", "weights", "blocks", "hamiltonians", "system_hamiltonian"),
     "MarkovDecayError": None,
+    "ModelFieldError": None,
     "ModelStructureError": None,
     "OperatorBasis": ("ops",),
     "QubitElements": ("pop_plus", "pop_minus", "coh_plus"),

@@ -366,6 +366,14 @@ FAILING_WALK_BLOCKS = {
     "not-hermitian": [[0, 1], [0, 0]],
 }
 _TRIPARTITE_K1 = {"type": "tripartite", "basis": [[[1, 0], [0, -1]]], "channels": 1}
+_CORRELATIONS_K1 = {
+    "type": "correlations",
+    "basis": [[[1, 0], [0, -1]]],
+    "tau": [0.0, 1.0, 2.0],
+    "chi": [[[[[1.0]], [[1e-5]], [[0.0]]]]],
+    "system_hamiltonian": [[0, 0], [0, 0]],
+    "weights": [1.0],
+}
 _LOG_GRID = {"stop": 10.0, "count": 41, "spacing": "log"}
 BAD_FIELDS = {
     "state-dim-mismatch": ({"initial_state": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "$.initial_state:"),
@@ -448,7 +456,7 @@ BAD_FIELDS = {
                 "weights": [1.0],
             }
         },
-        "$.model:",
+        "$.model.chi:",  # named only $.model, and a null entry exited 3
     ),
     "grid-points-collapse": ({"grid": {"stop": 1e-321, "count": 1000}}, "$.grid:"),
     "output-number": ({"output": 5}, "$.output:"),
@@ -586,6 +594,59 @@ BAD_FIELDS = {
     "walk-jump-kraus-outside-basis": (
         {"model": dict(_WALK_K2, jump_kraus=[[[[1, 0], [0, -1]]], [[[0, 1], [1, 0]]]])},
         "$.model.jump_kraus[1]: jump map of channel 1 has a Kraus operator not expandable in the basis",
+    ),
+    # a norm overflowing to inf made each residual inf / inf = NaN, which passed the checks: the
+    # Hamiltonian validated as PASS and evolve ended in a traceback, the jump map exited 3
+    "rate-hamiltonian-overflow": (
+        {"model": dict(_RATE_K2, hamiltonians=[[[1, 0], [-1e308, -1]], [[0, 0], [0, 0]]])},
+        "$.model.hamiltonians[0]: Hamiltonian is not Hermitian",
+    ),
+    "walk-jump-kraus-overflow": (
+        {"model": dict(_WALK_K2, jump_kraus=[[[[1, 0], [0, -1]]], [[[1e308, 0], [0, -1]]]])},
+        "$.model.jump_kraus[1]: jump map of channel 1 is not trace preserving",
+    ),
+    "correlations-chi-null": (
+        {
+            "model": {
+                "type": "correlations",
+                "basis": [[[1, 0], [0, -1]]],
+                "tau": [0.0, 1.0, 2.0],
+                "chi": [[[[[1.0]], [[None]], [[0.0]]]]],
+                "system_hamiltonian": [[0, 0], [0, 0]],
+                "weights": [1.0],
+            }
+        },
+        "$.model.chi:",
+    ),
+    # a finite entry whose product or integral overflows exited 3 as "matrix has non-finite entries"
+    "walk-feed-block-overflow": (
+        {"model": dict(_WALK_K2, basis=[[[1e-3, 0], [0, -1e-3]]], hop_rates=[[0.0, 1e308], [0.1, 0.0]])},
+        "$.model.hop_rates[0]: a hop rate times its jump map's Gram matrix overflows",
+    ),
+    "correlations-chi-overflow": (
+        {"model": dict(_CORRELATIONS_K1, chi=[[[[[1e308]], [[1e308]], [[0.0]]]]])},
+        "$.model.chi: the integrals of the correlations overflow",
+    ),
+    # these named only $.model, and a string entry in chi was read as a number
+    "rate-hamiltonians-count": ({"model": dict(_RATE_K2, hamiltonians=[[[0, 0], [0, 0]]])}, "$.model.hamiltonians:"),
+    "tripartite-not-rate-form": (
+        {
+            "model": dict(
+                _TRIPARTITE_K1,
+                channels=2,
+                b=[{"u": [0, 1], "v": [1, 0], "block": [[0.1]]}, {"u": [1, 0], "v": [0, 1], "block": [[0.1]]}],
+            )
+        },
+        "$.model.b: pair-off-diagonal coefficients",
+    ),
+    "correlations-undecayed": (
+        {"model": dict(_CORRELATIONS_K1, chi=[[[[[1.0]], [[1.0]], [[1.0]]]]])},
+        "$.model.chi: correlations of pair (0, 0) retain",
+    ),
+    "correlations-chi-string-entry": ({"model": dict(_CORRELATIONS_K1, chi=[[[[["1"]], [[0.0]], [[0.0]]]]])}, "$.model.chi:"),
+    "correlations-weights-count": (
+        {"model": dict(_CORRELATIONS_K1, weights=[0.5, 0.5])},
+        "$.model.weights: expected 1 weights, one per channel, got 2",
     ),
 }
 

@@ -334,6 +334,13 @@ class TestEigFactor:
         with pytest.raises(np.linalg.LinAlgError, match="residual inf exceeds EIG_TOL"):
             eig_factor(np.zeros((2, 2)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_norm_refused(self):
+        # |gen| overflows to inf, and inf <= EIG_TOL * inf used to accept the
+        # singular eigenvector matrix, then end in an UnboundLocalError
+        with pytest.raises(np.linalg.LinAlgError, match="residual nan exceeds EIG_TOL"):
+            eig_factor(np.array([[0, 1e308], [0, 0]]))
+
 
 class TestSuperopHelpers:
     def test_hamiltonian_superop_action(self, rng):

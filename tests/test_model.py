@@ -5,6 +5,7 @@ from lindbladrate.linalg import choi_matrix, devectorize, psd_check, trace_vecto
 from lindbladrate.model import (
     LindbladRateModel,
     MarkovDecayError,
+    ModelFieldError,
     ModelStructureError,
     OperatorBasis,
     assemble_generator,
@@ -14,8 +15,9 @@ from lindbladrate.model import (
     sum_channels,
     validate_model,
 )
-from lindbladrate.qubit import PRESETS, DephasingParams, dephasing_model
+from lindbladrate.qubit import PRESETS, SIGMA_X, SIGMA_Z, DephasingParams, dephasing_model
 from lindbladrate.solver import evolve
+from lindbladrate.stochastic import StochasticModel, convert_walk_to_rate_model
 
 from conftest import (
     apply_rate_equation,
@@ -326,3 +328,50 @@ class TestBuildFromCorrelations:
         with pytest.raises(ValueError, match="span"):
             build_from_correlations(chi, tau, sz.astype(complex), basis)
 
+
+
+_Z_BASIS = OperatorBasis(np.array([SIGMA_Z]))
+
+
+def _walk(**changes) -> StochasticModel:
+    """The fig2 walk, with ``changes`` to its fields."""
+    fields = {
+        "basis": _Z_BASIS,
+        "hamiltonian": np.zeros((2, 2)),
+        "dissipator_blocks": np.zeros((2, 1, 1)),
+        "hop_rates": [[0.0, 1.0], [0.1, 0.0]],
+        "kraus_maps": [[SIGMA_Z], [SIGMA_Z]],
+        "weights": [0.1, 0.9],
+    }
+    return StochasticModel(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: _walk(hop_rates=[[0.0, 1.0], [0.1]]), "hop_rates[1]"),
+        (lambda: LindbladRateModel(_Z_BASIS, [0.5, 0.6], np.zeros((2, 2, 1, 1))), "weights"),
+        (
+            lambda: LindbladRateModel.from_blocks(
+                _Z_BASIS, [0.5, 0.5], np.zeros((2, 1, 1)), hamiltonians=[np.zeros((2, 2)), [[0, 1], [0, 0]]]
+            ),
+            "hamiltonians[1]",
+        ),
+        (lambda: reduce_from_tripartite(np.zeros((1, 1, 1, 1)), 1, _Z_BASIS, weights=[0.5, 0.5]), "weights"),
+        (lambda: build_from_correlations(np.zeros((1, 1, 3, 1, 1)), [1.0, 2.0, 3.0], np.zeros((2, 2)), _Z_BASIS), "tau"),
+        (lambda: convert_walk_to_rate_model(_walk(kraus_maps=[[SIGMA_Z], [SIGMA_X]]), _Z_BASIS), "kraus_maps[1]"),
+    ],
+    ids=[
+        "walk-ragged-hop-row",
+        "rate-weights-sum",
+        "from-blocks-hamiltonian",
+        "tripartite-weights-count",
+        "correlations-tau-start",
+        "walk-kraus-outside-basis",
+    ],
+)
+def test_constructors_name_the_field(build, field):
+    with pytest.raises(ModelFieldError) as refused:
+        build()
+    assert refused.value.field == field
+    assert str(refused.value) == f"{field}: {refused.value.reason}"

@@ -5,7 +5,7 @@ import scipy.stats
 
 from lindbladrate import _kernels
 from lindbladrate._rng import draw_u64, mix64, stream_key, to_unit
-from lindbladrate.linalg import kraus_superop, vectorize
+from lindbladrate.linalg import kraus_superop, trace_vector, vectorize
 from lindbladrate.model import CPValidationError, OperatorBasis, assemble_generator
 from lindbladrate.qubit import (
     PRESETS,
@@ -23,6 +23,7 @@ from conftest import (
     CounterStream,
     TrajectoryState,
     init_channel,
+    random_basis,
     sample_sojourn,
     select_next_channel,
     step_trajectory,
@@ -474,3 +475,19 @@ class TestRunEnsemble:
         se_re, _ = acc.system_standard_error()
         diff = np.abs(acc.system_estimate().real - det.system.real)
         assert np.all(diff <= 4 * se_re + 1e-12)
+
+
+def test_self_generators_preserve_the_trace_by_construction(rng):
+    # StochasticModel no longer checks this: Tr F[X] = 2 Tr(D X) for the D that
+    # the generator's anticommutator uses, and a commutator is traceless,
+    # whatever the block and the Hamiltonian
+    for d, m in [(2, 1), (2, 4), (3, 5), (3, 9), (4, 7)]:
+        basis = random_basis(rng, d, m)
+        walk = StochasticModel(
+            basis, np.zeros((d, d)), np.zeros((3, m, m)), np.zeros((3, 3)), [[np.eye(d)]] * 3, [0.2, 0.3, 0.5]
+        )
+        walk.dissipator_blocks = rng.normal(size=(3, m, m)) + 1j * rng.normal(size=(3, m, m))  # neither PSD nor Hermitian
+        walk.hamiltonian = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))  # not Hermitian
+        for r in range(3):
+            gen = walk.self_generator(r)
+            assert np.linalg.norm(trace_vector(d) @ gen) <= 1e-14 * np.linalg.norm(gen), (d, m, r)
