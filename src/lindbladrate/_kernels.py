@@ -13,7 +13,10 @@ each cell ``(channel, grid point)`` sums its trajectories in index order;
 blocks of ``BLOCK_SIZE`` trajectories are added, in index order, to totals
 that start at zeros.  No sum's order depends on anything but the inputs; the
 window width changes none of them (BLOCK_SIZE and WINDOW_BYTES are constants,
-not options).  A channel that wrote fewer than half a block's rows in a window
+not options).  Blocks run in up to one process per CPU, forked children
+sending their partials back, and since each block's partial is computed
+alone and added in block order, the output bytes do not depend on the CPU
+count.  A channel that wrote fewer than half a block's rows in a window
 reduces just those rows: the rows it skips hold +0.0, which changes no sum but
 a -0.0 one, and the zero-started totals make that +0.0 as well.
 
@@ -27,7 +30,14 @@ discretization).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
+import pickle
+import signal
+import threading
 
 import numpy as np
 
@@ -176,7 +186,99 @@ def run_blocks(kit, n: int, master_seed: int):
     shape = (kit.weights_cum.shape[0], kit.grid.shape[0], kit.rho0_vec.shape[0])
     # Start from zeros, not from the first partial: 0 + -0.0 is +0.0.
     totals = np.zeros(shape, complex), np.zeros(shape), np.zeros(shape)
-    for lo in range(0, n, BLOCK_SIZE):
-        for total, part in zip(totals, _run_block(kit, lo, min(lo + BLOCK_SIZE, n), master_seed)):
+    for partial in _partials(kit, n, master_seed):
+        for total, part in zip(totals, partial):
             total += part
     return totals
+
+
+def _partials(kit, n: int, master_seed: int):
+    """Each block's partial sums, in block order, from up to one process per CPU.
+
+    Block ``i`` runs in worker ``i % W``: worker 0 is this process, the others
+    are forked children that stream their blocks' partials back over a pipe,
+    or the exception a block raised, then stop.  Blocks are read in order, so
+    the lowest failing block's exception is the one raised, as in one process.
+    """
+    def block(lo):
+        return _run_block(kit, lo, min(lo + BLOCK_SIZE, n), master_seed)
+
+    los = range(0, n, BLOCK_SIZE)
+    workers = min(len(los), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    # fork copies only the calling thread; one BLAS thread per process keeps W processes on W CPUs
+    blas = _openblas() if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1 else None
+    if blas is None:
+        yield from map(block, los)
+        return
+    threads = blas[0]()
+    blas[1](1)
+    children = [None]  # (pid, reader) per worker; None runs in this process
+    try:
+        for w in range(1, workers):
+            try:
+                children.append(_fork(block, los[w::workers]))
+            except OSError:  # no process or pipe to spare: this process runs the share
+                children.append(None)
+        for i, lo in enumerate(los):
+            child = children[i % workers]
+            if child is None:
+                yield block(lo)
+                continue
+            try:
+                part = pickle.load(child[1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"trajectory worker ended without the partial sums of block {lo}") from None
+            if isinstance(part, Exception):
+                raise part
+            yield part
+    finally:
+        # every partial a child sent has been read, or is no longer needed
+        for pid, reader in filter(None, children):
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        blas[1](threads)
+
+
+def _fork(block, los):
+    """``(pid, reader)`` of a child that pickles ``block(lo)`` for each of ``los``."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as out:
+                for lo in los:
+                    try:
+                        part = block(lo)
+                    except Exception as exc:  # sent to the parent, which raises it in block order
+                        part = exc
+                    pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+                    if isinstance(part, Exception):
+                        break
+        finally:
+            os._exit(0)  # never return into the caller's stack
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or None."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None

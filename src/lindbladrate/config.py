@@ -208,6 +208,7 @@ def _parse_grid(section, path: str) -> np.ndarray:
         raise ConfigError(f"{path}.stop", f"must be a finite number > 0, got {section['stop']!r}")
     if isinstance(count, bool) or not isinstance(count, int) or count < 2:
         raise ConfigError(f"{path}.count", "must be an integer >= 2")
+    _check_fits(8 * count, f"{path}.count", f"{count} grid points")
     if spacing == "linear":
         grid = np.linspace(0.0, stop, count)
     elif spacing == "log":
@@ -221,6 +222,13 @@ def _parse_grid(section, path: str) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise ConfigError(path, "stop, count and decades do not give strictly increasing grid points")
     return grid
+
+
+def _check_fits(nbytes: int, path: str, what: str) -> None:
+    """Refuse an array of ``nbytes`` bytes that this machine's memory cannot hold."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else sys.maxsize
+    if nbytes > memory:
+        raise ConfigError(path, f"{what}: {nbytes:.3g} bytes, more than the {memory:.3g} bytes of memory")
 
 
 def _check_keys(section, known: tuple[str, ...], path: str) -> None:
@@ -316,6 +324,7 @@ def _parse_model(section, path: str) -> ModelSource:
                 raise ConfigError(f"{path}.channels", f"must be an integer >= 1, got {k!r}")
             raw = _list(_require(section, "b", path), f"{path}.b")
             m = basis.size
+            _check_fits(16 * k**4 * m**2, f"{path}.channels", f"b for {k} channels")
             b = np.zeros((k * k, k * k, m, m), dtype=complex)
             for i, ent in enumerate(raw):
                 epath = f"{path}.b[{i}]"

@@ -118,6 +118,7 @@ def anticommutator_superop(d: np.ndarray) -> np.ndarray:
     return _kron(eye, d) + _kron(d.T, eye)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing norm gives NaN, which callers refuse
 def hermiticity_residual(matrix: np.ndarray) -> float:
     """Relative deviation from Hermiticity, ``|M - M^dag| / max(1, |M|)``."""
     m = np.asarray(matrix, dtype=complex)
@@ -228,6 +229,7 @@ def _zheevd_2x2(f: np.ndarray):
     return np.where(second < first, second, first), fast
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing block gives NaN, which is not PSD
 def psd_check(matrix: np.ndarray, tol: float = PSD_TOL):
     """The Hermitian-PSD rule.
 

@@ -100,6 +100,7 @@ def _checked_hamiltonian(value, dim: int, field: str) -> np.ndarray:
     return h
 
 
+@np.errstate(over="ignore")  # weights whose sum overflows are refused
 def _checked_weights(value) -> np.ndarray:
     """Channel weights: a vector of nonnegative numbers summing to 1."""
     weights = np.asarray(value, dtype=float)
@@ -139,8 +140,9 @@ class OperatorBasis:
             raise ValueError(f"{m} operators cannot be independent in dimension {d}")
         self.ops = ops
         flat = ops.reshape(m, d * d)
-        self.gram = flat.conj() @ flat.T
-        cond = np.linalg.cond(self.gram)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram matrix is refused below
+            self.gram = flat.conj() @ flat.T
+            cond = np.linalg.cond(self.gram)
         if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
             raise ValueError(f"basis Gram matrix condition {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}")
 
@@ -362,6 +364,7 @@ def _grid_array(grid) -> np.ndarray:
     return t
 
 
+@np.errstate(over="ignore", invalid="ignore")  # entries near the float limit give inf or NaN, refused
 def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
@@ -420,6 +423,7 @@ def reduce_from_tripartite(
     return LindbladRateModel(basis, weights, blocks, hamiltonians)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # entries near the float limit give inf or NaN, refused
 def build_from_correlations(
     chi: np.ndarray,
     tau: np.ndarray,

@@ -87,8 +87,10 @@ class StochasticModel:
         why = f"system dimension {d}"
         for r, ops in enumerate(self.kraus_maps):
             ops = [_checked_shape(op, (d, d), why, f"kraus_maps[{r}][{i}]") for i, op in enumerate(ops)]
-            # not <=, so that NaN, from an entry whose square overflows, is refused too
-            if not np.linalg.norm(sum(op.conj().T @ op for op in ops) - np.eye(d)) <= 1e-10:
+            # not <=, so that NaN, from an entry whose square overflows, is refused too (and unwarned)
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = np.linalg.norm(sum(op.conj().T @ op for op in ops) - np.eye(d))
+            if not residual <= 1e-10:
                 raise ModelFieldError(f"kraus_maps[{r}]", f"jump map of channel {r} is not trace preserving")
             self.kraus_maps[r] = ops
 
@@ -282,7 +284,8 @@ def convert_walk_to_rate_model(model: StochasticModel, basis: OperatorBasis) -> 
         blocks[r, r] = diag[r]
         for rp in range(k):
             if rp != r:
-                blocks[r, rp] = model.hop_rates[r, rp] * grams[rp]
+                with np.errstate(over="ignore"):  # an overflow is refused below
+                    blocks[r, rp] = model.hop_rates[r, rp] * grams[rp]
         if not np.all(np.isfinite(blocks[r])):
             raise ModelFieldError(f"hop_rates[{r}]", "a hop rate times its jump map's Gram matrix overflows")
     hams = np.stack([model.hamiltonian] * k)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,9 @@ BAD_FIELDS = {
         "$.model.chi:",  # named only $.model, and a null entry exited 3
     ),
     "grid-points-collapse": ({"grid": {"stop": 1e-321, "count": 1000}}, "$.grid:"),
+    # these two ended in ValueError tracebacks from numpy's allocation
+    "grid-count-huge": ({"grid": {"stop": 5.0, "count": 10**30}}, "$.grid.count:"),
+    "tripartite-channels-huge": ({"model": dict(_TRIPARTITE_K1, channels=10**30, b=[])}, "$.model.channels:"),
     "output-number": ({"output": 5}, "$.output:"),
     "output-list": ({"output": ["a"]}, "$.output:"),
     # unknown keys below the top level used to be ignored
@@ -939,11 +943,15 @@ class TestCliCommands:
         # grid, model and output cases ended in tracebacks, exit 3
         # or silent acceptance, a kernel_u string was walked as if it were a
         # list, and unknown keys (workers, rtol, misspellings) did nothing
+        # entries near the float limit made numpy print overflow warnings
         cfg = write_config(tmp_path, dict(BASE_CONFIG, **extra))
-        assert main(["stationary", "--config", cfg]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["stationary", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
 
     def test_walk_field_error_names_its_path_once(self, tmp_path, capsys):
         # used to print "$.model: $.model.hamiltonian: ..."

@@ -4,14 +4,15 @@ exit code, and a configuration error names a ``$.`` path.
 Each example takes one valid config of each model type (preset, rate,
 walk, tripartite, correlations) and applies one to three mutations: a leaf
 or subtree replaced by a value from ``REPLACEMENTS``, or a key or list item
-deleted.  Entries above ~1e154 make numpy warn of overflow on the way to a
-refusal; those warnings are not what this test checks.
+deleted.  A refusal prints no numpy warning: entries above ~1e154 overflow
+on the way to one.
 """
 
 import contextlib
 import io
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -78,7 +79,7 @@ SEEDS = {
         }
     ),
 }
-REPLACEMENTS = [None, 1e308, -1e308, True, False, "abc", -1.0, [], [[1, 0], [0]]]
+REPLACEMENTS = [None, 1e308, -1e308, 10**30, True, False, "abc", -1.0, [], [[1, 0], [0]]]
 
 
 _DELETE = object()
@@ -120,17 +121,24 @@ def test_seed_configs_pass_validate(fuzz_dir, capsys, name):
     assert main(["validate", "--config", str(path)]) == 0, capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def validate_stderr(path) -> tuple[int, str]:
+    """``lre validate``'s exit code and stderr, warnings included as Python prints them."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", "--config", str(path)])
+    shown = (warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, err.getvalue() + "".join(shown)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(config=mutated_configs())
 def test_mutated_configs_exit_0_1_or_2(fuzz_dir, config):
     path = fuzz_dir / "run.json"
     path.write_text(json.dumps(config))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", "--config", str(path)])
-    err = err.getvalue()
+    code, err = validate_stderr(path)
     assert code in (0, 1, 2), err
+    assert "RuntimeWarning" not in err, err
     if code == 1:
         assert re.match(r"configuration error: \$\.", err), err
