@@ -16,95 +16,74 @@ import numpy as np
 
 from . import solver  # stationary_projector is looked up here, where perfbench/tracing.py wraps it
 from ._rng import check_seed
-from .config import (
-    _DEFAULT_STATE,
-    ConfigError,
-    ModelSource,
-    OutputTable,
-    RunConfig,
-    _laplace_point,
-    deterministic_table,
-    emit_csv,
-    load_config,
-    stochastic_table,
-)
+from .config import ConfigError, RunConfig, _laplace_point, load_config, preset_config
 from .model import CPValidationError, validate_model
+from .output import deterministic_table, emit_csv, example_table, kernel_table, stationary_table, stochastic_table
 from .qubit import PRESETS, h_of_t
 from .solver import _evolve_blocks, evolve, homogeneity_check, memory_kernel_at, stationary_state
 from .stochastic import run_ensemble
 
-_DEFAULT_GRID = np.linspace(0.0, 20.0, 201)
 _DEFAULT_KERNEL_POINTS = [0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 4.0 + 0.0j]
+
+# The arguments that some commands read, besides --config and --preset.
+_FLAGS = {
+    "--out": {"help": "output CSV path (default: stdout)"},
+    "--seed": {"type": int, "help": "master seed for stochastic runs"},
+    "--n": {"type": int, "help": "trajectory count for stochastic runs"},
+    "--u": {"help": "comma-separated Laplace points for the kernel table"},
+    "preset_name": {"nargs": "?", "choices": sorted(PRESETS), "help": "preset to tabulate"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lre", description="Lindblad rate equation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("validate", "check complete positivity of a model"),
-        ("evolve", "deterministic evolution table"),
-        ("traj", "Monte Carlo trajectory ensemble table"),
-        ("kernel", "Laplace-domain memory kernel samples"),
-        ("stationary", "stationary state and homogeneity report"),
-        ("example", "closed-form preset table with engine cross-checks"),
-    ]:
+    for name, (_, doc, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", help="path to a JSON run configuration")
         cmd.add_argument("--preset", choices=sorted(PRESETS), help="named preset instead of a config")
-        cmd.add_argument("--out", help="output CSV path (default: stdout)")
-        cmd.add_argument("--seed", type=int, help="master seed for stochastic runs")
-        cmd.add_argument("--n", type=int, help="trajectory count for stochastic runs")
-        cmd.add_argument("--u", help="comma-separated Laplace points for the kernel table")
-        if name == "example":
-            cmd.add_argument("preset_name", nargs="?", choices=sorted(PRESETS), help="preset to tabulate")
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _laplace_points(text: str) -> list[complex]:
-    """Parse ``--u``: comma-separated finite real Laplace points other than 0."""
-    try:
-        points = [float(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError("--u", f"expected comma-separated numbers, got {text!r}") from exc
-    return [_laplace_point(u, "--u") for u in points]
+def _missing_trajectories_or_seed(config: RunConfig) -> str:
+    """The names of the trajectory count and seed that neither a flag nor the config sets."""
+    named = (("--n/$.trajectories", config.trajectories), ("--seed/$.seed", config.seed))
+    return " and ".join(name for name, value in named if value is None)
 
 
-def _trajectories_and_seed(config: RunConfig, args):
-    """``(n, seed, missing)``: flags over config fields, and the names of those unset."""
-    n = args.n or config.trajectories
-    seed = args.seed if args.seed is not None else config.seed
-    named = (("--n/$.trajectories", n), ("--seed/$.seed", seed))
-    missing = " and ".join(name for name, value in named if value is None)
-    return n, seed, missing
-
-
-def _load(args) -> RunConfig | None:
-    if args.seed is not None:
+def _load(args) -> RunConfig:
+    """The ``--config`` or ``--preset`` run, under the command's flags."""
+    flags = vars(args)  # holds only the flags of args.command
+    seed, n = flags.get("seed"), flags.get("n")
+    if seed is not None:
         try:
-            check_seed(args.seed)
+            check_seed(seed)
         except ValueError as exc:
             raise ConfigError("--seed", str(exc)) from exc
-    if args.n is not None and args.n < 1:
-        raise ConfigError("--n", f"trajectory count must be >= 1, got {args.n}")
+    if n is not None and n < 1:
+        raise ConfigError("--n", f"trajectory count must be >= 1, got {n}")
+    preset = flags.get("preset_name") or args.preset
     if args.config:
         config = load_config(args.config)
+    elif preset:
+        config = preset_config(preset)
     else:
-        preset = getattr(args, "preset_name", None) or args.preset
-        if not preset:
-            return None
-        config = RunConfig(
-            model=ModelSource("preset", {"name": preset}),
-            initial_state=_DEFAULT_STATE.copy(),
-            grid=_DEFAULT_GRID.copy(),
-            trajectories=args.n,
-            seed=args.seed,
-        )
-    if args.u:
-        config.kernel_points = _laplace_points(args.u)
+        raise ConfigError("--config/--preset", "a config file or preset name is required")
+    if flags.get("u"):  # comma-separated finite real Laplace points other than 0
+        try:
+            points = [float(x) for x in flags["u"].split(",")]
+        except ValueError as exc:
+            raise ConfigError("--u", f"expected comma-separated numbers, got {flags['u']!r}") from exc
+        config.kernel_points = [_laplace_point(u, "--u") for u in points]
+    config.output = flags.get("out") or config.output
+    config.trajectories = n or config.trajectories
+    config.seed = config.seed if seed is None else seed
     return config
 
 
-def _cmd_validate(config: RunConfig, args) -> int:
+def _cmd_validate(config: RunConfig) -> int:
     rate_model, _ = config.model.build()
     report = validate_model(rate_model)
     for blk in report.blocks:
@@ -118,45 +97,37 @@ def _cmd_validate(config: RunConfig, args) -> int:
     return 0 if report.passed else 2
 
 
-def _cmd_evolve(config: RunConfig, args) -> int:
+def _cmd_evolve(config: RunConfig) -> int:
     rate_model, _ = config.model.build()
     # one block of grid times at a time, from propagation to CSV text
     blocks = _evolve_blocks(rate_model, config.initial_state, config.grid)
-    emit_csv(map(deterministic_table, blocks), args.out or config.output)
+    emit_csv(map(deterministic_table, blocks), config.output)
     return 0
 
 
-def _cmd_traj(config: RunConfig, args) -> int:
+def _cmd_traj(config: RunConfig) -> int:
     _, walk = config.model.build()
     if walk is None:
         print("traj requires a preset or walk-form model", file=sys.stderr)
         return 1
-    n, seed, missing = _trajectories_and_seed(config, args)
+    missing = _missing_trajectories_or_seed(config)
     if missing:
         print(f"traj requires {missing}", file=sys.stderr)
         return 1
-    acc = run_ensemble(walk, config.initial_state, config.grid, n, seed)
-    emit_csv(stochastic_table(acc), args.out or config.output)
+    acc = run_ensemble(walk, config.initial_state, config.grid, config.trajectories, config.seed)
+    emit_csv(stochastic_table(acc), config.output)
     return 0
 
 
-def _cmd_kernel(config: RunConfig, args) -> int:
+def _cmd_kernel(config: RunConfig) -> int:
     rate_model, _ = config.model.build()
-    points = config.kernel_points or _DEFAULT_KERNEL_POINTS
-    d2 = rate_model.dim ** 2
-    columns = ["u_re", "u_im", "shifted", "condition"]
-    columns += [f"K_{i}{j}_{part}" for i in range(d2) for j in range(d2) for part in ("re", "im")]
-    rows = []
     analysis = solver.stationary_projector(rate_model)
-    for u in points:
-        sample = memory_kernel_at(analysis, u)
-        head = [u.real, u.imag, float(sample.shifted), sample.condition]
-        rows.append(np.concatenate([head, np.stack([sample.kernel.real, sample.kernel.imag], -1).reshape(-1)]))
-    emit_csv(OutputTable(columns, np.array(rows)), args.out or config.output)
+    samples = [memory_kernel_at(analysis, u) for u in config.kernel_points or _DEFAULT_KERNEL_POINTS]
+    emit_csv(kernel_table(samples), config.output)
     return 0
 
 
-def _cmd_stationary(config: RunConfig, args) -> int:
+def _cmd_stationary(config: RunConfig) -> int:
     rate_model, _ = config.model.build()
     analysis = solver.stationary_projector(rate_model)
     rho_inf = stationary_state(analysis, config.initial_state)
@@ -166,21 +137,18 @@ def _cmd_stationary(config: RunConfig, args) -> int:
     print(f"coherence-sector residual norm: {report.coherence_residual_norm:.6e}")
     for sector, norm in report.sector_norms.items():
         print(f"  sector {sector}: {norm:.6e}")
-    if args.out or config.output:
-        d = rate_model.dim
-        columns = [f"rho_{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im")]
-        row = np.stack([rho_inf.real, rho_inf.imag], -1).reshape(1, -1)
-        emit_csv(OutputTable(columns, row), args.out or config.output)
+    if config.output:
+        emit_csv(stationary_table(rho_inf), config.output)
     return 0
 
 
-def _cmd_example(config: RunConfig, args) -> int:
+def _cmd_example(config: RunConfig) -> int:
     name = config.model.preset_name()
     if name is None:
         print("example requires a preset", file=sys.stderr)
         return 1
-    n, seed, missing = _trajectories_and_seed(config, args)
-    if missing and (n is not None or seed is not None):
+    missing = _missing_trajectories_or_seed(config)
+    if missing and (config.trajectories is not None or config.seed is not None):
         print(f"example requires {missing} for the Monte Carlo columns", file=sys.stderr)
         return 1
     phi0 = config.initial_state[0, 1]
@@ -188,31 +156,24 @@ def _cmd_example(config: RunConfig, args) -> int:
         print("example requires an initial state with nonzero coherence", file=sys.stderr)
         return 1
     rate_model, walk = config.model.build()
-    grid = config.grid
-    closed = np.atleast_1d(h_of_t(PRESETS[name], grid))
-    result = evolve(rate_model, config.initial_state, grid)
-    engine_h = (result.system[:, 0, 1] / phi0).real
-    columns = ["t", "h_closed", "h_engine", "abs_residual"]
-    data = [grid, closed, engine_h, np.abs(engine_h - closed)]
-    if not missing:
-        acc = run_ensemble(walk, config.initial_state, grid, n, seed)
-        mc_h = (acc.system_estimate()[:, 0, 1] / phi0).real
-        se_re, _ = acc.system_standard_error()
-        columns += ["h_mc", "se_mc", "abs_mc_residual"]
-        data += [mc_h, se_re[:, 0, 1] / abs(phi0), np.abs(mc_h - closed)]
-    emit_csv(OutputTable(columns, np.stack(data, axis=1)), args.out or config.output)
+    closed = np.atleast_1d(h_of_t(PRESETS[name], config.grid))
+    result = evolve(rate_model, config.initial_state, config.grid)
+    acc = None if missing else run_ensemble(walk, config.initial_state, config.grid, config.trajectories, config.seed)
+    emit_csv(example_table(closed, result, phi0, acc), config.output)
     return 0
 
 
+# Each command: its body, its help, and every flag it reads besides --config and --preset.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "evolve": _cmd_evolve,
-    "traj": _cmd_traj,
-    "kernel": _cmd_kernel,
-    "stationary": _cmd_stationary,
-    "example": _cmd_example,
+    "validate": (_cmd_validate, "check complete positivity of a model", ()),
+    "evolve": (_cmd_evolve, "deterministic evolution table", ("--out",)),
+    "traj": (_cmd_traj, "Monte Carlo trajectory ensemble table", ("--out", "--seed", "--n")),
+    "kernel": (_cmd_kernel, "Laplace-domain memory kernel samples", ("--out", "--u")),
+    "stationary": (_cmd_stationary, "stationary state and homogeneity report", ("--out",)),
+    "example": (
+        _cmd_example, "closed-form preset table with engine cross-checks", ("--out", "--seed", "--n", "preset_name")
+    ),
 }
-
 
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
 
@@ -230,11 +191,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    if config is None:
-        print("a --config file or --preset name is required", file=sys.stderr)
-        return 1
     try:
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command][0](config)
     except OSError as exc:  # only emit_csv touches files here
         print(f"output error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 1

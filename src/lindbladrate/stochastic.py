@@ -132,6 +132,16 @@ class _TrajectoryKit:
     dim: int
 
 
+def _draw_table(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums of the probabilities ``p``, 1.0 from the last positive one on: the kernel's
+    draw ``0 < u < 1`` takes the first entry with ``u <= table``, never one of zero ``p``."""
+    table = np.cumsum(p)
+    positive = np.flatnonzero(p > 0)
+    if positive.size:
+        table[positive[-1] :] = 1.0
+    return table
+
+
 def _build_kit(model: StochasticModel, rho0: np.ndarray, grid: np.ndarray) -> _TrajectoryKit:
     k, d = model.num_channels, model.dim
     n = d * d
@@ -146,28 +156,15 @@ def _build_kit(model: StochasticModel, rho0: np.ndarray, grid: np.ndarray) -> _T
             raise ValueError(f"self-generator of channel {r} is {exc}; trajectories need its eigenbasis") from None
         jump_ops[r] = model.jump_superoperator(r)
     escape = model.escape_rates()
-    trans_cum = np.zeros((k, k))
-    for src in range(k):
-        if escape[src] <= 0:
-            continue
-        cum = 0.0
-        last = -1
-        for dest in range(k):
-            if dest != src and model.hop_rates[dest, src] > 0:
-                cum += model.hop_rates[dest, src] / escape[src]
-                last = dest
-            trans_cum[src, dest] = cum
-        trans_cum[src, last:] = 1.0
-    weights_cum = np.cumsum(model.weights)
-    weights_cum[-1] = 1.0
+    trans = np.divide(model.hop_rates, escape, out=np.zeros((k, k)), where=escape > 0)  # column R: R -> R'
     return _TrajectoryKit(
         grid=np.asarray(grid, dtype=float),
-        weights_cum=weights_cum,
+        weights_cum=_draw_table(model.weights),
         eigvals=eigvals,
         eigvecs=eigvecs,
         eiginvs=eiginvs,
         jump_ops=jump_ops,
-        trans_cum=trans_cum,
+        trans_cum=np.array([_draw_table(column) for column in trans.T]),
         escape=np.asarray(escape, dtype=float),
         rho0_vec=vectorize(rho0),
         dim=d,

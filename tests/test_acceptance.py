@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lindbladrate.config import OutputTable, emit_csv
+from lindbladrate.output import OutputTable, emit_csv
 from lindbladrate.linalg import vectorize
 from lindbladrate.model import (
     assemble_generator,

@@ -18,16 +18,8 @@ from hypothesis.extra import numpy as hnp
 import lindbladrate
 from lindbladrate import cli, solver
 from lindbladrate.cli import main
-from lindbladrate.config import (
-    ConfigError,
-    ModelSource,
-    OutputTable,
-    _csv_chunk,
-    _decimal,
-    _matrix,
-    emit_csv,
-    parse_config,
-)
+from lindbladrate.config import ConfigError, ModelSource, _matrix, parse_config
+from lindbladrate.output import OutputTable, _csv_chunk, _decimal, emit_csv
 from lindbladrate.solver import _BLOCK_ROWS
 
 from test_output_bytes import _RATE33, _STATE3
@@ -42,6 +34,11 @@ def write_config(tmp_path, payload, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def out_args(command, path):
+    """``--out path`` for every command but ``validate``, which writes no table."""
+    return [] if command == "validate" else ["--out", str(path)]
 
 
 def read_csv(path):
@@ -631,6 +628,11 @@ BAD_FIELDS = {
         {"model": dict(_CORRELATIONS_K1, chi=[[[[[1e308]], [[1e308]], [[0.0]]]]])},
         "$.model.chi: the integrals of the correlations overflow",
     ),
+    # H + H^dagger overflowed to NaN eigenvalues, refused as "$.model.basis: ... projection residual nan"
+    "correlations-hamiltonian-overflow": (
+        {"model": dict(_CORRELATIONS_K1, system_hamiltonian=[[1e308, 0], [0, 0]])},
+        "$.model.system_hamiltonian: tau * |H| overflows the float range",
+    ),
     # these named only $.model, and a string entry in chi was read as a number
     "rate-hamiltonians-count": ({"model": dict(_RATE_K2, hamiltonians=[[[0, 0], [0, 0]]])}, "$.model.hamiltonians:"),
     "tripartite-not-rate-form": (
@@ -910,7 +912,7 @@ class TestCliCommands:
         # tolerances.psd used to reach validate, evolve and stationary but not traj or example
         payload = dict(BASE_CONFIG, trajectories=10, seed=1, tolerances={"psd": 1e-5})
         out = tmp_path / "out.csv"
-        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert main([command, "--config", write_config(tmp_path, payload), *out_args(command, out)]) == 1
         assert "$.tolerances: unknown field" in capsys.readouterr().err
         assert not out.exists()
 
@@ -928,7 +930,7 @@ class TestCliCommands:
             "grid": {"stop": 1.0, "count": 3},
         }
         out = tmp_path / "out.csv"
-        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert main([command, "--config", write_config(tmp_path, payload), *out_args(command, out)]) == 0
         assert capsys.readouterr().err == ""
 
     def test_non_psd_initial_state_exit_1(self, tmp_path, capsys):
@@ -1037,7 +1039,7 @@ class TestCliCommands:
         model["channel_dissipators"] = [block, [[0, 0], [0, 0]]]
         payload = dict(BASE_CONFIG, model=model, trajectories=10, seed=1)
         out = tmp_path / "out.csv"
-        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert main([command, "--config", write_config(tmp_path, payload), *out_args(command, out)]) == 2
         captured = capsys.readouterr()
         if command == "validate":
             assert "block (0, 0):" in captured.out and "NOT PSD" in captured.out
@@ -1091,7 +1093,7 @@ class TestStreamedEvolve:
 
     def test_drift_in_a_later_block_removes_the_file(self, tmp_path, capsys, monkeypatch):
         formatted = []
-        monkeypatch.setattr("lindbladrate.config._csv_chunk", lambda *a: formatted.append(len(a[0])) or _csv_chunk(*a))
+        monkeypatch.setattr("lindbladrate.output._csv_chunk", lambda *a: formatted.append(len(a[0])) or _csv_chunk(*a))
         cfg = write_config(tmp_path, _DRIFTING_LOG_GRID)
         t = parse_config(json.dumps(_DRIFTING_LOG_GRID)).grid[1937]
         message = f"engine failure: total trace drifts from 1 by 1.011e-10 at t = {t:.17g}, beyond TRACE_TOL = 1e-10\n"
@@ -1209,6 +1211,48 @@ class TestModelSources:
 
         model, _ = load_config(cfg).model.build()
         assert model.blocks[0, 0, 0, 0].real == pytest.approx(2 * c * tau_c, rel=1e-5)
+
+
+# The flags of each command, in the order of its usage line: every one it reads and no other.
+COMMAND_FLAGS = {
+    "validate": ["--config", "--preset"],
+    "evolve": ["--config", "--preset", "--out"],
+    "traj": ["--config", "--preset", "--out", "--seed", "--n"],
+    "kernel": ["--config", "--preset", "--out", "--u"],
+    "stationary": ["--config", "--preset", "--out"],
+    "example": ["--config", "--preset", "--out", "--seed", "--n"],
+}
+# every command took all six flags; these 14 pairs did nothing
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, flags in COMMAND_FLAGS.items()
+    for flag in ("--config", "--preset", "--out", "--seed", "--n", "--u")
+    if flag not in flags
+]
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_help_lists_only_the_flags_the_command_reads(capsys, command):
+    assert main([command, "-h"]) == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert re.findall(r"--[a-z]+", usage) == COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS, ids=[" ".join(pair) for pair in REMOVED_FLAGS])
+def test_flag_the_command_does_not_read_exit_1_naming_it(tmp_path, capsys, command, flag):
+    # `validate --out v.csv --n 5 --seed 3 --u 1,2` exited 0 and wrote no file,
+    # and `evolve --u abc` exited 1 over a flag that evolve never reads
+    assert len(REMOVED_FLAGS) == 14
+    out = tmp_path / "out.csv"
+    value = {"--out": str(out), "--seed": "3", "--n": "5", "--u": "1,2"}[flag]
+    # example's preset goes first, as its usage has it: after an unknown flag
+    # argparse would take the flag's value for the positional preset name
+    argv = [command, *(["fig2"] if command == "example" else ["--preset", "fig2"]), flag, value]
+    if flag != "--out" and "--out" in COMMAND_FLAGS[command]:
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parser_built_once_gives_the_bytes_of_fresh_calls(tmp_path, capsys, monkeypatch):

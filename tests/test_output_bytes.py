@@ -24,7 +24,8 @@ import pytest
 
 import lindbladrate
 from lindbladrate.cli import main
-from lindbladrate.config import deterministic_table, emit_csv, parse_config
+from lindbladrate.config import parse_config
+from lindbladrate.output import deterministic_table, emit_csv
 from lindbladrate.solver import evolve
 
 from test_linalg import _ALTERNATIVE_ENVIRONMENTS

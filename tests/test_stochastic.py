@@ -165,6 +165,47 @@ class TestSamplingPrimitives:
         assert not np.any(draws == 0)
 
 
+class TestDrawTables:
+    """The kit's channel-draw tables: cumulative probabilities, 1.0 from the last positive one on."""
+
+    @staticmethod
+    def _kit(weights, hop_rates):
+        k = len(weights)
+        basis = OperatorBasis(np.array([SIGMA_Z]))
+        walk = StochasticModel(basis, np.zeros((2, 2)), np.zeros((k, 1, 1)), hop_rates, [[np.eye(2)]] * k, weights)
+        return _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 1.0, 3))
+
+    def test_zero_weight_channel_is_never_drawn(self):
+        # was [0.5, 0.99999999996, 1.0]: a trajectory started in channel 2,
+        # of weight 0, with probability 4e-11
+        kit = self._kit([0.5, 0.5 - 4e-11, 0.0], np.zeros((3, 3)))
+        assert kit.weights_cum.tolist() == [0.5, 1.0, 1.0]
+        # the kernel's initial draw at the largest uniform below 1
+        assert np.searchsorted(kit.weights_cum, np.nextafter(1.0, 0.0)) == 1
+
+    def test_transfer_rows(self):
+        rates = np.zeros((4, 4))
+        rates[1, 0], rates[2, 0] = 2.0, 1.0  # 0 -> 1 and 0 -> 2, never 0 -> 3
+        rates[0, 1] = 0.5  # 1 -> 0 only; 2 and 3 never leave
+        kit = self._kit([0.25] * 4, rates)
+        assert kit.trans_cum.tolist() == [[0.0, 2.0 / 3.0, 1.0, 1.0], [1.0] * 4, [0.0] * 4, [0.0] * 4]
+
+    def test_rows_are_the_running_sums_of_the_rates(self, rng):
+        # the running sum in destination order, as the per-entry loop it replaced added it
+        rates = rng.uniform(size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.6)
+        np.fill_diagonal(rates, 0.0)
+        kit = self._kit([0.2] * 5, rates)
+        for src in range(5):
+            cum, table = 0.0, []
+            for dest in range(5):
+                cum += rates[dest, src] / rates[:, src].sum() if rates[dest, src] > 0 else 0.0
+                table.append(cum)
+            positive = np.flatnonzero(rates[:, src] > 0)
+            if positive.size:
+                table[positive[-1] :] = [1.0] * (5 - positive[-1])
+            assert kit.trans_cum[src].tolist() == table
+
+
 class TestStepTrajectory:
     def test_dephasing_jump_flips_coherence(self):
         _, walk = dephasing_model(PRESETS["fig2"])
