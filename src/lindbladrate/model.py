@@ -476,11 +476,10 @@ def build_from_correlations(
                     f"peak at the end of the window; the local-in-time reduction is invalid"
                 )
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here, unwarned
         hermitian = 0.5 * (hs + hs.conj().T)
-        reach = tau[-1] * np.abs(hermitian).sum(axis=1).max()  # bounds every phase tau * eigenvalue
-    if not np.isfinite(reach):
-        raise ModelFieldError("system_hamiltonian", f"tau * |H| overflows the float range (largest tau {tau[-1]:g})")
+        if not np.isfinite(tau[-1] * np.abs(hermitian).sum(axis=1).max()):  # bounds every phase tau * eigenvalue
+            raise ModelFieldError("system_hamiltonian", f"tau * |H| overflows at tau = {tau[-1]:g}")
     w, u = np.linalg.eigh(hermitian)
 
     coeffs = np.empty((tau.shape[0], m, m), dtype=complex)  # C[k][beta, gamma]

@@ -83,6 +83,10 @@ class StochasticModel:
                 why = f"rates must be nonnegative with entry [{r}] zero (no self transfers)"
                 raise ModelFieldError(f"hop_rates[{r}]", f"{why}, got {row.tolist()}")
         self.hop_rates = np.array(rows)
+        with np.errstate(over="ignore"):  # an escape rate that overflows is refused, unwarned
+            overflow = np.flatnonzero(~np.isfinite(self.escape_rates()))
+        if overflow.size:
+            raise ModelFieldError("hop_rates", f"the escape rate of channel {overflow[0]} overflows")
         self.kraus_maps = _per_channel(self.kraus_maps, k, "kraus_maps")
         why = f"system dimension {d}"
         for r, ops in enumerate(self.kraus_maps):
@@ -143,18 +147,14 @@ def _draw_table(p: np.ndarray) -> np.ndarray:
 
 
 def _build_kit(model: StochasticModel, rho0: np.ndarray, grid: np.ndarray) -> _TrajectoryKit:
-    k, d = model.num_channels, model.dim
-    n = d * d
-    eigvals = np.empty((k, n), dtype=complex)
-    eigvecs = np.empty((k, n, n), dtype=complex)
-    eiginvs = np.empty((k, n, n), dtype=complex)
-    jump_ops = np.empty((k, n, n), dtype=complex)
+    k = model.num_channels
+    factors = []
     for r in range(k):
         try:
-            eigvals[r], eigvecs[r], eiginvs[r] = eig_factor(model.self_generator(r))
+            factors.append(eig_factor(model.self_generator(r)))
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"self-generator of channel {r} is {exc}; trajectories need its eigenbasis") from None
-        jump_ops[r] = model.jump_superoperator(r)
+    eigvals, eigvecs, eiginvs = (np.array(part, dtype=complex) for part in zip(*factors))
     escape = model.escape_rates()
     trans = np.divide(model.hop_rates, escape, out=np.zeros((k, k)), where=escape > 0)  # column R: R -> R'
     return _TrajectoryKit(
@@ -163,11 +163,11 @@ def _build_kit(model: StochasticModel, rho0: np.ndarray, grid: np.ndarray) -> _T
         eigvals=eigvals,
         eigvecs=eigvecs,
         eiginvs=eiginvs,
-        jump_ops=jump_ops,
+        jump_ops=np.array([model.jump_superoperator(r) for r in range(k)], dtype=complex),
         trans_cum=np.array([_draw_table(column) for column in trans.T]),
         escape=np.asarray(escape, dtype=float),
         rho0_vec=vectorize(rho0),
-        dim=d,
+        dim=model.dim,
     )
 
 

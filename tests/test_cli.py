@@ -624,6 +624,19 @@ BAD_FIELDS = {
         {"model": dict(_WALK_K2, basis=[[[1e-3, 0], [0, -1e-3]]], hop_rates=[[0.0, 1e308], [0.1, 0.0]])},
         "$.model.hop_rates[0]: a hop rate times its jump map's Gram matrix overflows",
     ),
+    # channel 0's escape rate overflowed to inf: traj sent every trajectory to channel 2, with a warning
+    "walk-escape-overflow": (
+        {
+            "model": dict(
+                _WALK_K2,
+                channel_dissipators=[[[0.0]]] * 3,
+                hop_rates=[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]],
+                jump_kraus=[[[[1, 0], [0, -1]]]] * 3,
+                weights=[0.4, 0.3, 0.3],
+            )
+        },
+        "$.model.hop_rates: the escape rate of channel 0 overflows",
+    ),
     "correlations-chi-overflow": (
         {"model": dict(_CORRELATIONS_K1, chi=[[[[[1e308]], [[1e308]], [[0.0]]]]])},
         "$.model.chi: the integrals of the correlations overflow",
@@ -631,7 +644,7 @@ BAD_FIELDS = {
     # H + H^dagger overflowed to NaN eigenvalues, refused as "$.model.basis: ... projection residual nan"
     "correlations-hamiltonian-overflow": (
         {"model": dict(_CORRELATIONS_K1, system_hamiltonian=[[1e308, 0], [0, 0]])},
-        "$.model.system_hamiltonian: tau * |H| overflows the float range",
+        "$.model.system_hamiltonian: tau * |H| overflows at tau = 2",
     ),
     # these named only $.model, and a string entry in chi was read as a number
     "rate-hamiltonians-count": ({"model": dict(_RATE_K2, hamiltonians=[[[0, 0], [0, 0]]])}, "$.model.hamiltonians:"),
