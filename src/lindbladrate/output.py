@@ -1,5 +1,5 @@
-"""Result tables and their CSV text: one builder for each command's table,
-and the writer, whose 17 significant digits roundtrip every value bit-exactly."""
+"""Result tables and their CSV text: the table of each command, and the
+writer, whose 17 significant digits roundtrip every value bit-exactly."""
 
 from __future__ import annotations
 
