@@ -31,7 +31,6 @@ _FLAGS = {
     "--seed": {"type": int, "help": "master seed for stochastic runs"},
     "--n": {"type": int, "help": "trajectory count for stochastic runs"},
     "--u": {"help": "comma-separated Laplace points for the kernel table"},
-    "preset_name": {"nargs": "?", "choices": sorted(PRESETS), "help": "preset to tabulate"},
 }
 
 
@@ -64,11 +63,10 @@ def _load(args) -> RunConfig:
             raise ConfigError("--seed", str(exc)) from exc
     if n is not None and n < 1:
         raise ConfigError("--n", f"trajectory count must be >= 1, got {n}")
-    preset = flags.get("preset_name") or args.preset
     if args.config:
         config = load_config(args.config)
-    elif preset:
-        config = preset_config(preset)
+    elif args.preset:
+        config = preset_config(args.preset)
     else:
         raise ConfigError("--config/--preset", "a config file or preset name is required")
     if flags.get("u"):  # comma-separated finite real Laplace points other than 0
@@ -170,9 +168,7 @@ _COMMANDS = {
     "traj": (_cmd_traj, "Monte Carlo trajectory ensemble table", ("--out", "--seed", "--n")),
     "kernel": (_cmd_kernel, "Laplace-domain memory kernel samples", ("--out", "--u")),
     "stationary": (_cmd_stationary, "stationary state and homogeneity report", ("--out",)),
-    "example": (
-        _cmd_example, "closed-form preset table with engine cross-checks", ("--out", "--seed", "--n", "preset_name")
-    ),
+    "example": (_cmd_example, "closed-form preset table with engine cross-checks", ("--out", "--seed", "--n")),
 }
 
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call

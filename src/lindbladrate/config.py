@@ -161,7 +161,7 @@ def _sized_matrix(value, size: int, why: str, path: str) -> np.ndarray:
 class ModelSource:
     """Parsed ``model`` section: a preset name, or the parsed rate model (and walk)."""
 
-    kind: str  # preset | rate | walk | tripartite | correlations
+    kind: str  # preset | rate | walk: tripartite and correlations models parse to rate
     payload: dict
 
     def preset_name(self) -> str | None:
@@ -319,15 +319,16 @@ def _parse_model(section, path: str) -> ModelSource:
                 raise ConfigError(f"{path}.channels", f"must be an integer >= 1, got {k!r}")
             raw = _list(_require(section, "b", path), f"{path}.b")
             m = basis.size
-            _check_fits(16 * k**4 * m**2, f"{path}.channels", f"b for {k} channels")
-            b = np.zeros((k * k, k * k, m, m), dtype=complex)
+            _check_fits(16 * k**2 * m**2, f"{path}.channels", f"rate blocks for {k} channels")
+            entries = []
             for i, ent in enumerate(raw):
                 epath = f"{path}.b[{i}]"
                 _check_keys(ent, ("u", "v", "block"), epath)
                 u, v = (_pair(_require(ent, key, epath), k, f"{epath}.{key}") for key in ("u", "v"))
-                b[u, v] = _sized_matrix(_require(ent, "block", epath), m, f"basis size {m}", f"{epath}.block")
+                block = _sized_matrix(_require(ent, "block", epath), m, f"basis size {m}", f"{epath}.block")
+                entries.append((u, v, block))
             weights = _real_vector(section["weights"], f"{path}.weights") if "weights" in section else None
-            return ModelSource("rate", {"rate": reduce_from_tripartite(b, k, basis, weights)})
+            return ModelSource("rate", {"rate": reduce_from_tripartite(entries, k, basis, weights)})
         tau = _real_vector(_require(section, "tau", path), f"{path}.tau")
         chi = _require(section, "chi", path)  # nested number lists; build_from_correlations converts them
         h_sys = _matrix(_require(section, "system_hamiltonian", path), f"{path}.system_hamiltonian")

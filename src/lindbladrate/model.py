@@ -380,47 +380,44 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def reduce_from_tripartite(
-    b: np.ndarray,
-    num_channels: int,
-    basis: OperatorBasis,
-    weights=None,
-    hamiltonians=None,
-) -> LindbladRateModel:
+def reduce_from_tripartite(entries, num_channels: int, basis: OperatorBasis, weights=None) -> LindbladRateModel:
     """Reduce tripartite dissipation coefficients to a rate model.
 
-    ``b[u, v]`` are ``m x m`` blocks indexed by ordered channel pairs
-    ``u = (R, R')`` encoded as ``R*K + R'`` where the pair tags a transfer
-    feeding ``R`` from ``R'``.  A rate-equation structure requires every
-    pair-off-diagonal block ``b[u, v != u]`` to vanish; when it does, the
-    pair-diagonal blocks are copied verbatim into the model.
+    ``entries`` lists the coefficient blocks ``(u, v, block)``: ``block`` is
+    the ``m x m`` block ``b[u, v]`` between ordered channel pairs encoded as
+    ``R*K + R'``, where the pair tags a transfer feeding ``R`` from ``R'``.
+    Unlisted blocks are zero, and a later entry for the same ``(u, v)``
+    replaces an earlier one.  A rate-equation structure requires every
+    pair-off-diagonal block ``b[u, v != u]`` to vanish; the pair-diagonal
+    blocks, each Hermitian, are copied verbatim into the model.  A refusal
+    names the entry, ``b[i]``.
     """
-    k = num_channels
-    m = basis.size
-    b = _checked_shape(b, (k * k, k * k, m, m), f"{k} channels, basis size {m}", "b")
-    if not hermiticity_residual(b.transpose(0, 2, 1, 3).reshape(k * k * m, k * k * m)) <= HERMITIAN_TOL:
-        raise ModelStructureError("b", "coefficient set is not Hermitian in the joint (pair, basis) index")
-    scale = max(1.0, float(np.abs(b).max()))
-    for u in range(k * k):
-        for v in range(k * k):
-            if u == v:
-                continue
-            off = float(np.abs(b[u, v]).max())
+    k, m = num_channels, basis.size
+    listed = {}
+    for i, (u, v, block) in enumerate(entries):
+        if not (0 <= u < k * k and 0 <= v < k * k):
+            raise ModelFieldError(f"b[{i}]", f"pair indices ({u}, {v}) must lie in [0, {k * k}) for {k} channels")
+        listed[u, v] = i, _checked_shape(block, (m, m), f"basis size {m}", f"b[{i}]")
+    scale = max([1.0, *(float(np.abs(block).max()) for _, block in listed.values())])
+    blocks = np.zeros((k, k, m, m), dtype=complex)
+    for (u, v), (i, block) in listed.items():
+        pair_u, pair_v = divmod(u, k), divmod(v, k)
+        if u != v:
+            off = float(np.abs(block).max())
             if not off <= STRUCTURE_TOL * scale:
-                pair_u, pair_v = divmod(u, k), divmod(v, k)
                 raise ModelStructureError(
-                    "b",
+                    f"b[{i}]",
                     f"pair-off-diagonal coefficients at (u, v) = ({pair_u}, {pair_v}) "
                     f"have magnitude {off:.3e}; not of rate-equation form"
                 )
+            continue
+        residual = hermiticity_residual(block)
+        if not residual <= HERMITIAN_TOL:
+            raise ModelStructureError(f"b[{i}]", f"block of pair {pair_u} is not Hermitian (residual {residual:.3e})")
+        blocks[pair_u] = block
     if weights is None:
         weights = np.full(k, 1.0 / k)
-    blocks = np.zeros((k, k, m, m), dtype=complex)
-    for r in range(k):
-        for rp in range(k):
-            u = r * k + rp
-            blocks[r, rp] = b[u, u]
-    return LindbladRateModel(basis, weights, blocks, hamiltonians)
+    return LindbladRateModel(basis, weights, blocks)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # entries near the float limit give inf or NaN, refused

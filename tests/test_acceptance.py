@@ -284,12 +284,8 @@ def test_criterion_12_tripartite_roundtrip():
             weights=weights / weights.sum(),
         )
         converted = convert_walk_to_rate_model(walk, basis)
-        b = np.zeros((4, 4, 4, 4), dtype=complex)
-        for r in range(2):
-            for rp in range(2):
-                u = r * 2 + rp
-                b[u, u] = converted.blocks[r, rp]
-        reduced = reduce_from_tripartite(b, 2, basis, weights=converted.weights)
+        entries = [(r * 2 + rp, r * 2 + rp, converted.blocks[r, rp]) for r in range(2) for rp in range(2)]
+        reduced = reduce_from_tripartite(entries, 2, basis, weights=converted.weights)
         gen = assemble_generator(reduced, validate=False).matrix
         direct = direct_walk_generator(walk)
         assert np.abs(gen - direct).max() <= 1e-12

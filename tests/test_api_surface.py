@@ -54,7 +54,7 @@ API = {
     "memory_kernel_at": ("model_or_analysis", "u"),
     "min_eigenvalue": ("matrix",),
     "psd_check": ("matrix", "tol"),
-    "reduce_from_tripartite": ("b", "num_channels", "basis", "weights", "hamiltonians"),
+    "reduce_from_tripartite": ("entries", "num_channels", "basis", "weights"),
     "run_ensemble": ("model", "rho0", "grid", "n", "master_seed"),
     "stationary_projector": ("model_or_generator",),
     "stationary_state": ("model_or_analysis", "rho0"),

@@ -656,7 +656,18 @@ BAD_FIELDS = {
                 b=[{"u": [0, 1], "v": [1, 0], "block": [[0.1]]}, {"u": [1, 0], "v": [0, 1], "block": [[0.1]]}],
             )
         },
-        "$.model.b: pair-off-diagonal coefficients",
+        "$.model.b[0]: pair-off-diagonal coefficients at (u, v) = ((0, 1), (1, 0))",
+    ),
+    # refused by a joint check over the dense (K**2, K**2, m, m) array, naming only $.model.b
+    "tripartite-not-hermitian": (
+        {
+            "model": dict(
+                _TRIPARTITE_K1,
+                channels=2,
+                b=[{"u": [0, 1], "v": [0, 1], "block": [[1.0]]}, {"u": [1, 0], "v": [1, 0], "block": [[[0.1, 0.1]]]}],
+            )
+        },
+        "$.model.b[1]: block of pair (1, 0) is not Hermitian",
     ),
     "correlations-undecayed": (
         {"model": dict(_CORRELATIONS_K1, chi=[[[[[1.0]], [[1.0]], [[1.0]]]]])},
@@ -774,14 +785,14 @@ class TestCliCommands:
     def test_example_fig2_final_coherence(self, tmp_path):
         out = tmp_path / "fig2.csv"
         payload = dict(BASE_CONFIG, grid={"stop": 100.0, "count": 201})
-        assert main(["example", "fig2", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert main(["example", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert abs(rows[-1, header.index("h_closed")] - (-0.6545454545)) < 1e-3
         assert rows[:, header.index("abs_residual")].max() < 1e-7
 
     def test_example_with_monte_carlo_columns(self, tmp_path):
         out = tmp_path / "fig2_mc.csv"
-        assert main(["example", "fig2", "--n", "300", "--seed", "5", "--out", str(out)]) == 0
+        assert main(["example", "--preset", "fig2", "--n", "300", "--seed", "5", "--out", str(out)]) == 0
         header, rows = read_csv(out)
         for col in ("h_mc", "se_mc", "abs_mc_residual"):
             assert col in header
@@ -792,7 +803,7 @@ class TestCliCommands:
     def test_example_residuals_below_tolerance_all_presets(self, tmp_path):
         for name in ("fig1-upper", "fig1-lower", "fig2"):
             out = tmp_path / f"{name}.csv"
-            assert main(["example", name, "--out", str(out)]) == 0
+            assert main(["example", "--preset", name, "--out", str(out)]) == 0
             header, rows = read_csv(out)
             assert rows[:, header.index("abs_residual")].max() < 1e-7
 
@@ -801,7 +812,7 @@ class TestCliCommands:
         calls = []
         monkeypatch.setattr(cli, "evolve", lambda *args: calls.append(args))
         cfg = write_config(tmp_path, dict(BASE_CONFIG, initial_state=[[1, 0], [0, 0]]))
-        assert main(["example", "fig2", "--config", cfg]) == 1
+        assert main(["example", "--config", cfg]) == 1
         assert capsys.readouterr().err == "example requires an initial state with nonzero coherence\n"
         assert calls == []
 
@@ -816,8 +827,14 @@ class TestCliCommands:
             return original(self)
 
         monkeypatch.setattr(ModelSource, "build", counted)
-        assert main(["example", "fig2", "--n", "50", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 0
+        assert main(["example", "--preset", "fig2", "--n", "50", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 0
         assert builds == ["preset"]
+
+    def test_example_positional_preset_name_exit_1(self, capsys):
+        # `example NAME` repeated --preset NAME, and after an unread flag it
+        # took the flag's value for the name (`--u 1,2` read as preset '1,2')
+        assert main(["example", "fig2"]) == 1
+        assert "unrecognized arguments: fig2" in capsys.readouterr().err
 
     def test_traj_outputs_se_columns_and_is_reproducible(self, tmp_path):
         payload = dict(BASE_CONFIG, engine="stochastic", trajectories=400, seed=7)
@@ -866,7 +883,7 @@ class TestCliCommands:
         # one of the two used to drop the Monte Carlo columns silently and exit 0
         cfg = write_config(tmp_path, dict(BASE_CONFIG, **fields))
         out = tmp_path / "example.csv"
-        assert main(["example", "fig2", "--config", cfg, *argv, "--out", str(out)]) == 1
+        assert main(["example", "--config", cfg, *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"example requires {named} for the Monte Carlo columns\n"
         assert not out.exists()
 
@@ -1203,6 +1220,31 @@ class TestModelSources:
         assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
         assert "rate-equation form" in capsys.readouterr().err
 
+    def test_tripartite_validate_memory_grows_with_entries(self, tmp_path, capsys):
+        # the parse filled a dense (K**2, K**2, m, m) b, 41 MB at K = 40 for these two
+        # entries, and validate peaked at 123 MB; the (K, K, m, m) blocks are 26 kB
+        payload = {
+            "model": {
+                "type": "tripartite",
+                "channels": 40,
+                "basis": [[[1, 0], [0, -1]]],
+                "b": [
+                    {"u": [0, 1], "v": [0, 1], "block": [[1.0]]},
+                    {"u": [1, 0], "v": [1, 0], "block": [[0.1]]},
+                ],
+            },
+            "grid": {"stop": 1.0, "count": 3},
+        }
+        cfg = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main(["validate", "--config", cfg]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+        assert capsys.readouterr().out.count("-> PSD") == 40 * 40
+
     def test_correlations_source(self, tmp_path):
         tau_c, c = 0.5, 0.4
         tau = np.linspace(0.0, 12.0, 481)
@@ -1258,9 +1300,7 @@ def test_flag_the_command_does_not_read_exit_1_naming_it(tmp_path, capsys, comma
     assert len(REMOVED_FLAGS) == 14
     out = tmp_path / "out.csv"
     value = {"--out": str(out), "--seed": "3", "--n": "5", "--u": "1,2"}[flag]
-    # example's preset goes first, as its usage has it: after an unknown flag
-    # argparse would take the flag's value for the positional preset name
-    argv = [command, *(["fig2"] if command == "example" else ["--preset", "fig2"]), flag, value]
+    argv = [command, "--preset", "fig2", flag, value]
     if flag != "--out" and "--out" in COMMAND_FLAGS[command]:
         argv += ["--out", str(out)]
     assert main(argv) == 1
@@ -1351,7 +1391,7 @@ print(json.dumps(seen))
         "traj --preset fig2 --n 50 --seed 1",
         "evolve --preset fig1-lower",
         "validate --preset fig2",
-        "example fig2 --n 50 --seed 1",
+        "example --preset fig2 --n 50 --seed 1",
         "kernel --preset fig2",  # last: shows that the probe can fire
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindbladrate.__file__)))

@@ -241,43 +241,61 @@ class TestChannelMaps:
 
 
 class TestReduceFromTripartite:
-    def _diagonal_b(self, rng, k, m):
-        b = np.zeros((k * k, k * k, m, m), dtype=complex)
-        for u in range(k * k):
-            b[u, u] = random_psd(rng, m)
-        return b
+    def _diagonal_entries(self, rng, k, m):
+        return [(u, u, random_psd(rng, m)) for u in range(k * k)]
 
     def test_diagonal_blocks_copied(self, rng):
         basis = random_basis(rng, 2)
-        b = self._diagonal_b(rng, 2, basis.size)
-        model = reduce_from_tripartite(b, 2, basis)
+        entries = self._diagonal_entries(rng, 2, basis.size)
+        model = reduce_from_tripartite(entries, 2, basis)
         for r in range(2):
             for rp in range(2):
-                np.testing.assert_array_equal(model.blocks[r, rp], b[r * 2 + rp, r * 2 + rp])
+                np.testing.assert_array_equal(model.blocks[r, rp], entries[r * 2 + rp][2])
 
     def test_off_diagonal_rejected(self, rng):
         basis = random_basis(rng, 2)
-        b = self._diagonal_b(rng, 2, basis.size)
-        b[0, 3] = 0.1 * np.eye(basis.size)
-        b[3, 0] = 0.1 * np.eye(basis.size)
+        entries = self._diagonal_entries(rng, 2, basis.size)
+        entries += [(0, 3, 0.1 * np.eye(basis.size)), (3, 0, 0.1 * np.eye(basis.size))]
         with pytest.raises(ModelStructureError, match=r"\(0, 0\)"):
-            reduce_from_tripartite(b, 2, basis)
+            reduce_from_tripartite(entries, 2, basis)
 
     def test_psd_joint_index_gives_psd_blocks(self, rng):
         basis = random_basis(rng, 2)
         m = basis.size
         k = 2
-        # Gram construction: PSD in the joint (pair, basis) index, then zero
-        # the pair-off-diagonal parts (principal blocks stay PSD).
+        # Gram construction: PSD in the joint (pair, basis) index, then keep
+        # only the pair-diagonal parts (principal blocks stay PSD).
         x = rng.normal(size=(k * k * m, k * k * m)) + 1j * rng.normal(size=(k * k * m, k * k * m))
         big = (x @ x.conj().T).reshape(k * k, m, k * k, m).transpose(0, 2, 1, 3)
-        b = np.zeros_like(big)
-        for u in range(k * k):
-            b[u, u] = big[u, u]
-        model = reduce_from_tripartite(b, k, basis)
+        model = reduce_from_tripartite([(u, u, big[u, u]) for u in range(k * k)], k, basis)
         for tag in np.ndindex(k, k):
             ok, min_eig = psd_check(model.blocks[tag], tol=1e-10)
             assert ok, f"block {tag} min eigenvalue {min_eig}"
+
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ((0, 4, [[1.0]]), r"pair indices \(0, 4\) must lie in \[0, 4\)"),
+            ((1, 1, np.eye(2)), r"expected shape \(1, 1\)"),
+            ((1, 1, [[1j]]), r"block of pair \(0, 1\) is not Hermitian"),
+            ((1, 2, [[1e-9]]), r"pair-off-diagonal coefficients at \(u, v\) = \(\(0, 1\), \(1, 0\)\)"),
+        ],
+        ids=["pair-out-of-range", "block-shape", "not-hermitian", "off-diagonal"],
+    )
+    def test_entry_refusal_names_the_entry(self, entry, reason):
+        z_basis = OperatorBasis(np.array([SIGMA_Z]))
+        with pytest.raises(ModelFieldError, match=reason) as refused:
+            reduce_from_tripartite([(0, 0, [[1.0]]), entry], 2, z_basis)
+        assert refused.value.field == "b[1]"
+
+    def test_later_entry_replaces_earlier_and_rounding_is_dropped(self):
+        z_basis = OperatorBasis(np.array([SIGMA_Z]))
+        entries = [(1, 2, [[5.0]]), (3, 3, [[2.0]]), (1, 2, [[0.0]]), (3, 3, [[0.3]]), (0, 3, [[1e-11]])]
+        model = reduce_from_tripartite(entries, 2, z_basis)
+        expected = np.zeros((2, 2, 1, 1))
+        expected[1, 1] = 0.3
+        np.testing.assert_array_equal(model.blocks, expected)
 
 
 class TestBuildFromCorrelations:
@@ -357,7 +375,7 @@ def _walk(**changes) -> StochasticModel:
             ),
             "hamiltonians[1]",
         ),
-        (lambda: reduce_from_tripartite(np.zeros((1, 1, 1, 1)), 1, _Z_BASIS, weights=[0.5, 0.5]), "weights"),
+        (lambda: reduce_from_tripartite([], 1, _Z_BASIS, weights=[0.5, 0.5]), "weights"),
         (lambda: build_from_correlations(np.zeros((1, 1, 3, 1, 1)), [1.0, 2.0, 3.0], np.zeros((2, 2)), _Z_BASIS), "tau"),
         (lambda: convert_walk_to_rate_model(_walk(kraus_maps=[[SIGMA_Z], [SIGMA_X]]), _Z_BASIS), "kraus_maps[1]"),
     ],

@@ -35,7 +35,7 @@ PINNED = {
     "traj --preset fig2 --n 500 --seed 1": "d86d6b47f6f69dbb2eade0728ccbb0c6eb2618ad63ea94fa5aff00bb473cd04c",
     "kernel --preset fig2 --u 1.5,2,4": "82ca26da5f1693decad408333664373615e5091d23c759dfbfe494602cf254c7",
     "stationary --preset fig2": "872be742fe6be247581a1de5353cf8c3178dc29f6b84b3dfc447f98cc26e51a3",
-    "example fig2 --n 500 --seed 1": "b1fa2064b0d24acb73d83b4a92eb08ce68f66dad04ceba1de87529a0d79f4eee",
+    "example --preset fig2 --n 500 --seed 1": "b1fa2064b0d24acb73d83b4a92eb08ce68f66dad04ceba1de87529a0d79f4eee",
     # no transfers: every sample is taken before a trajectory's first jump
     "traj --preset fig1-upper --n 500 --seed 9": "8fc8ad432dc4a89a97ca44a72eb116702057794bd7f006e57858926727ccf104",
     # transfers: sampling products mix trajectories before and after a jump
