@@ -11,21 +11,31 @@ Reproducibility: trajectory ``i`` consumes substream ``i`` of the master seed;
 grid samples are written to per-channel ``(B, W, d**2)`` window buffers and
 each cell ``(channel, grid point)`` sums its trajectories in index order;
 blocks of ``BLOCK_SIZE`` trajectories are added, in index order, to totals
-that start at zeros.  No sum's order depends on anything but the inputs; the
-window width changes none of them (BLOCK_SIZE and WINDOW_BYTES are constants,
-not options).  Blocks run in up to one process per CPU, forked children
-sending their partials back, and since each block's partial is computed
-alone and added in block order, the output bytes do not depend on the CPU
-count.  A channel that wrote fewer than half a block's rows in a window
-reduces just those rows: the rows it skips hold +0.0, which changes no sum but
-a -0.0 one, and the zero-started totals make that +0.0 as well.
+that start at zeros.  No sum's order depends on anything but the inputs, and
+the window width changes none of them; but it sets how many columns each
+eigenbasis product hands OpenBLAS, whose column groups round differently
+(``WINDOW_BYTES = 1 << 21`` moves the last bits of the dense walk pins).
+BLOCK_SIZE and WINDOW_BYTES are constants, not options.  Blocks run in up to
+one process per CPU, forked children sending their partials back, and since
+each block's partial is computed alone and added in block order, the output
+bytes do not depend on the CPU count.  A channel that wrote fewer than half a
+block's rows in a window reduces just those rows: the rows it skips hold +0.0,
+which changes no sum but a -0.0 one, and the zero-started totals make that
++0.0 as well.
 
 Trajectory semantics: the conditional state evolves under the channel
 self-propagator between exponentially distributed transfer events; each
 transfer out of channel R applies the jump map attached to R (the source),
 renormalizes the trace, and hands the state to the selected destination.
 Grid times are sampled with the exact segment propagator (no intra-segment
-discretization).
+discretization).  A channel whose eigenvectors and their inverse are exactly
+the identity is plain: its states are their own eigenbasis coordinates, so
+neither product is formed; a plain channel whose eigenvalues are all 0 is
+still, and its samples are the segment-start states.  The bits are those of
+the products: ``exp(0)`` is ``1+0j`` and a product with I returns its operand,
+up to the sign of a zero, which the zero-started totals erase.  Each factor
+stays the first operand of its complex multiply, which numpy may fuse, so
+``a * b`` and ``b * a`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -57,6 +67,10 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
     nb = hi - lo
     width = max(1, WINDOW_BYTES // (16 * BLOCK_SIZE * n2))
     diag_idx = np.arange(kit.dim) * (kit.dim + 1)
+    # Plain channels propagate in the vec basis itself; still ones do not move.
+    eye = np.eye(n2)
+    plain = [np.array_equal(v, eye) and np.array_equal(vi, eye) for v, vi in zip(kit.eigvecs, kit.eiginvs)]
+    still = [p and not vals.any() for p, vals in zip(plain, kit.eigvals)]
 
     keys = stream_key(master_seed, np.arange(lo, hi, dtype=np.uint64))
     ctr = np.zeros(nb, dtype=np.uint64)
@@ -82,16 +96,22 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
         with the same bits (``t - 0.0`` is ``t``).  ``np.take`` keeps the
         product's operand C-ordered, as ``np.outer`` makes it.
         """
+        if still[c]:
+            return np.take(y, idx, axis=0).T
         if cols is not None and not t0[idx].any():
             w = np.take(table[c], cols, axis=1)
         else:
             w = np.outer(kit.eigvals[c], dts)
             np.exp(w, out=w)
+        if plain[c]:
+            w *= np.take(y, idx, axis=0).T
+            return w
         w *= np.take(z, idx, axis=1)
         return kit.eigvecs[c] @ w
 
     chan = np.searchsorted(kit.weights_cum, uniform(slice(None)))
-    y = np.tile(kit.rho0_vec, (nb, 1))  # state at the segment start t0
+    # State at the segment start t0, one row each; np.take gathers rows ~2x faster than y[idx].
+    y = np.tile(kit.rho0_vec, (nb, 1))
     z = np.empty((n2, nb), complex)  # y in its channel's eigenbasis, one column each
     t0 = np.zeros(nb)
     t_jump = np.empty(nb)
@@ -108,13 +128,15 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
         t_jump[idx[hops]] = t0[idx[hops]] - logs / gam[hops]
         g_end[idx] = np.searchsorted(grid, t_jump[idx], side="right")
         for c, m in by_channel(idx):
-            z[:, idx[m]] = kit.eiginvs[c] @ y[idx[m]].T
+            if not plain[c]:
+                z[:, idx[m]] = kit.eiginvs[c] @ np.take(y, idx[m], axis=0).T
 
     def jump(idx):
         for c, m in by_channel(idx):
             sel = idx[m]
-            y[sel] = (kit.jump_ops[c] @ propagate(c, sel, t_jump[sel] - t0[sel])).T
-        ys = y[idx]
+            # a still channel's states come as a transposed view; the product's bits need C order
+            y[sel] = (kit.jump_ops[c] @ np.ascontiguousarray(propagate(c, sel, t_jump[sel] - t0[sel]))).T
+        ys = np.take(y, idx, axis=0)
         tr = ys[:, diag_idx].sum(axis=1)
         bad = (np.abs(tr - 1.0) > TRACE_TOL) | ~np.isfinite(tr)
         if bad.any():
@@ -158,7 +180,7 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
                 flat[c, pos[m]] = propagate(c, rows[m], dts[m], cols[m]).T
             at_start = np.flatnonzero(dts == 0.0)
             if at_start.size:
-                flat[chan[rows[at_start]], pos[at_start]] = y[rows[at_start]]
+                flat[chan[rows[at_start]], pos[at_start]] = np.take(y, rows[at_start], axis=0)
             g[act] = stop
             hop = act[(stop == g_end[act]) & (stop < tcount)]
             if hop.size:

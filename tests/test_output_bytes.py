@@ -4,8 +4,8 @@ Each command's stdout (the CSV table, or the ``stationary`` report) is
 pinned by its sha256, the first five preset commands recorded at commit
 ``dd006cb``, the two config commands at ``4c18cc9``, the two fig1
 ``traj`` commands at ``95e051a`` and the walk-rare and walk3 ``traj``
-commands at ``fd178dd``, and the multi-block ``evolve`` commands at
-``9ba98f6``.  A refactor that claims to
+commands at ``fd178dd``, the multi-block ``evolve`` commands at
+``9ba98f6``, and the plain- and mixed-walk ``traj`` commands at ``8263c55``.  A refactor that claims to
 leave the output unchanged must keep every digest; a change that moves a
 byte on purpose updates the digest and says why.
 """
@@ -97,6 +97,23 @@ _WALK3 = {
     "weights": [0.1, 0.25, 0.65],
 }
 
+_SZ = [[1, 0], [0, -1]]
+# Both self-generators are diagonal in the vec basis, with eigenvalues 0 and
+# -0.1 +- 0.6i (channel 0) and 0 and -0.4 +- 0.6i (channel 1): the kernel
+# propagates them without eigenbasis products, and the complex factors fix
+# the operand order of the factor product bit for bit.
+_WALK_PLAIN = {
+    "type": "walk",
+    "basis": [_SZ, _SX],
+    "hamiltonian": [[0.3, 0], [0, -0.3]],
+    "channel_dissipators": [[[0.05, 0], [0, 0]], [[0.2, 0], [0, 0]]],
+    "jump_kraus": [[_SX], [_SZ]],
+    "hop_rates": [[0, 1], [0.5, 0]],
+    "weights": [0.3, 0.7],
+}
+# _WALK_PLAIN with sigma_x dephasing in channel 1, whose eigenbasis is not the vec basis.
+_WALK_MIXED = {**_WALK_PLAIN, "channel_dissipators": [[[0.05, 0], [0, 0]], [[0, 0], [0, 0.2]]]}
+
 CONFIG_PINNED = {
     "traj walk --n 500 --seed 3": (
         {"model": _WALK, "initial_state": _STATE, "grid": {"stop": 10.0, "count": 51}},
@@ -109,6 +126,14 @@ CONFIG_PINNED = {
     "traj walk3 --n 1500 --seed 11": (
         {"model": _WALK3, "initial_state": _STATE, "grid": {"stop": 8.0, "count": 81, "spacing": "log", "decades": 3}},
         "1f0bbb91a460571ef06afd02cb1aa99457c0d39d55de3c91847adcdddb208b17",
+    ),
+    "traj walk-plain --n 1500 --seed 7": (
+        {"model": _WALK_PLAIN, "initial_state": _STATE, "grid": {"stop": 10, "count": 51}},
+        "bca16d92fde6fa7791757cb1a52b9713d41c2c68539b56e99fa4c3d97d667149",
+    ),
+    "traj walk-mixed --n 1500 --seed 7": (
+        {"model": _WALK_MIXED, "initial_state": _STATE, "grid": {"stop": 10, "count": 51}},
+        "86f0486e508688d02e00b20c68f550e82cd7f252ee75e15640a17b8b0371eaae",
     ),
     "evolve rate": (
         {"model": _RATE, "initial_state": _STATE, "grid": {"stop": 2.0, "count": 81, "spacing": "log"}},

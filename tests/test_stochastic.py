@@ -1,3 +1,7 @@
+import dataclasses
+import functools
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +9,7 @@ import scipy.stats
 
 from lindbladrate import _kernels
 from lindbladrate._rng import draw_u64, mix64, stream_key, to_unit
+from lindbladrate.config import parse_config
 from lindbladrate.linalg import kraus_superop, trace_vector, vectorize
 from lindbladrate.model import CPValidationError, OperatorBasis, assemble_generator
 from lindbladrate.qubit import (
@@ -24,10 +29,13 @@ from conftest import (
     TrajectoryState,
     init_channel,
     random_basis,
+    random_density,
+    random_psd,
     sample_sojourn,
     select_next_channel,
     step_trajectory,
 )
+from test_output_bytes import _STATE, _WALK_MIXED, _WALK_PLAIN
 
 RHO_PLUS_X = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -311,6 +319,61 @@ def assert_same_sums(acc, other):
     assert np.array_equal(acc.channel_sq_im, other.channel_sq_im)
 
 
+def assert_only_window_tables_exponentiated(monkeypatch, kit):
+    """A block exponentiates at most K * d**2 * width factors per window, once."""
+    k, n2 = kit.eigvals.shape
+    width = max(1, _kernels.WINDOW_BYTES // (16 * _kernels.BLOCK_SIZE * n2))
+    windows = -(-kit.grid.size // width)
+    sizes = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    _kernels._run_block(kit, 0, 300, 4)
+    assert 0 < len(sizes) <= windows
+    assert max(sizes) <= k * n2 * width
+    assert sum(sizes) <= windows * k * n2 * width
+
+
+def config_walk(section):
+    """A pinned walk of ``test_output_bytes`` with its state, on its grid."""
+    run = parse_config(json.dumps({"model": section, "initial_state": _STATE, "grid": {"stop": 10, "count": 51}}))
+    return run.model.build()[1], run.initial_state, run.grid
+
+
+def diagonal_walk(d, k, hop_scale, seed):
+    """A random walk whose self-generators are diagonal in the vec basis:
+    diagonal Hamiltonian, dissipators in the diagonal matrix units, unitary
+    jump maps."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 1.0, size=k)
+    hops = hop_scale * rng.uniform(0.1, 1.0, size=(k, k))
+    np.fill_diagonal(hops, 0.0)
+    walk = StochasticModel(
+        basis=OperatorBasis(np.eye(d * d).reshape(d, d, d, d)[np.arange(d), np.arange(d)].astype(complex)),
+        hamiltonian=np.diag(rng.normal(size=d)),
+        dissipator_blocks=np.stack([random_psd(rng, d, 0.3) for _ in range(k)]),
+        hop_rates=hops,
+        kraus_maps=[[np.linalg.qr(random_psd(rng, d) + 1j * np.eye(d))[0]] for _ in range(k)],
+        weights=weights / weights.sum(),
+    )
+    return walk, random_density(rng, d), np.linspace(0.0, 6.0, 19)
+
+
+PLAIN_CASES = {
+    "walk-plain": lambda: config_walk(_WALK_PLAIN),
+    "walk-mixed": lambda: config_walk(_WALK_MIXED),
+    "fig2": lambda: (dephasing_model(PRESETS["fig2"])[1], RHO_PLUS_X, np.linspace(0.0, 10.0, 41)),
+    "fig1-lower": lambda: (dephasing_model(PRESETS["fig1-lower"])[1], RHO_PLUS_X, np.linspace(0.0, 10.0, 41)),
+    **{
+        f"diagonal-d{d}-k{k}-hops{scale}": functools.partial(diagonal_walk, d, k, scale, 10 * d + k)
+        for d, k, scale in [(2, 1, 0.0), (2, 2, 0.3), (2, 3, 2.0), (3, 2, 0.0), (3, 2, 2.0), (3, 3, 0.3)]
+    },
+}
+
 WALK_CASES = {
     "fig2": (dephasing_model(PRESETS["fig2"])[1], RHO_PLUS_X),
     "depolarizing": (
@@ -383,24 +446,38 @@ class TestRunEnsemble:
         # its factors come from the per-window tables: at most K * d**2 * width
         # exponentials per window, not one set per trajectory and grid point
         _, walk = dephasing_model(PRESETS["fig1-upper"])
-        grid = np.linspace(0.0, 20.0, 201)
-        kit = _build_kit(walk, RHO_PLUS_X, grid)
+        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 20.0, 201))
         assert not kit.escape.any()
-        k, n2 = kit.eigvals.shape
-        width = max(1, _kernels.WINDOW_BYTES // (16 * _kernels.BLOCK_SIZE * n2))
-        windows = -(-grid.size // width)
-        sizes = []
-        exp = np.exp
+        assert_only_window_tables_exponentiated(monkeypatch, kit)
 
-        def counting_exp(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return exp(x, *args, **kwargs)
+    def test_still_channels_exponentiate_only_the_window_tables(self, monkeypatch):
+        # fig2 transfers, but its self-generators are zero: a sample taken
+        # after a transfer is the state at the segment start, with no factor
+        _, walk = dephasing_model(PRESETS["fig2"])
+        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 20.0, 201))
+        assert kit.escape.all() and not kit.eigvals.any()
+        assert_only_window_tables_exponentiated(monkeypatch, kit)
 
-        monkeypatch.setattr(np, "exp", counting_exp)
-        _kernels._run_block(kit, 0, 300, 4)
-        assert 0 < len(sizes) <= windows
-        assert max(sizes) <= k * n2 * width
-        assert sum(sizes) <= windows * k * n2 * width
+    @pytest.mark.parametrize("case", list(PLAIN_CASES))
+    def test_plain_channels_give_the_eigenbasis_path_bits(self, case):
+        # a plain channel's factors are exactly I; written as a permutation
+        # they send it through the eigenbasis products, which must give the
+        # same bits: V = P and P^T permute exactly, and each factor multiplies
+        # the same coordinate in the same operand order
+        walk, rho0, grid = PLAIN_CASES[case]()
+        kit = _build_kit(walk, rho0, grid)
+        n2 = kit.eigvals.shape[1]
+        plain = np.array([np.array_equal(v, np.eye(n2)) and np.array_equal(vi, np.eye(n2))
+                          for v, vi in zip(kit.eigvecs, kit.eiginvs)])
+        assert plain.any()
+        perm = np.arange(n2)[::-1]
+        vals, vecs, invs = kit.eigvals.copy(), kit.eigvecs.copy(), kit.eiginvs.copy()
+        vals[plain] = vals[plain][:, perm]
+        vecs[plain] = np.eye(n2)[:, perm]
+        invs[plain] = np.eye(n2)[perm]
+        disguised = dataclasses.replace(kit, eigvals=vals, eigvecs=vecs, eiginvs=invs)
+        for got, want in zip(_kernels.run_blocks(kit, 1100, 13), _kernels.run_blocks(disguised, 1100, 13)):
+            assert np.array_equal(got, want)
 
     def test_window_reduction_reads_only_the_rows_a_channel_wrote(self, monkeypatch):
         # fig1-upper never transfers and starts 0.1 of its trajectories in
