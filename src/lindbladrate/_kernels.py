@@ -3,39 +3,48 @@
 The jump maps are trace preserving, so a trajectory's channel path is a
 classical jump process whose draws never depend on the conditional state.
 Every live trajectory of a block therefore advances together, one sojourn
-segment at a time: the block draws its sojourns and destinations from the
-counter-based streams of :mod:`._rng`, and each channel propagates its
-trajectories with one matrix product.
+segment at a time, drawing from the counter-based streams of :mod:`._rng`.
+Between transfers the conditional state follows its channel's
+self-propagator, sampled exactly at the grid times; each transfer out of
+channel R applies the jump map attached to R (the source), renormalizes the
+trace, and hands the state to the selected destination.
 
 Reproducibility: trajectory ``i`` consumes substream ``i`` of the master seed;
 grid samples are written to per-channel ``(B, W, d**2)`` window buffers and
 each cell ``(channel, grid point)`` sums its trajectories in index order;
 blocks of ``BLOCK_SIZE`` trajectories are added, in index order, to totals
-that start at zeros.  No sum's order depends on anything but the inputs, and
-the window width changes none of them; but it sets how many columns each
-eigenbasis product hands OpenBLAS, whose column groups round differently
-(``WINDOW_BYTES = 1 << 21`` moves the last bits of the dense walk pins).
-BLOCK_SIZE and WINDOW_BYTES are constants, not options.  Blocks run in up to
-one process per CPU, forked children sending their partials back, and since
-each block's partial is computed alone and added in block order, the output
-bytes do not depend on the CPU count.  A channel that wrote fewer than half a
-block's rows in a window reduces just those rows: the rows it skips hold +0.0,
-which changes no sum but a -0.0 one, and the zero-started totals make that
-+0.0 as well.
+that start at zeros.  The window width changes no sum's order, but it sets
+how many columns each eigenbasis product hands OpenBLAS, whose column groups
+round differently (``WINDOW_BYTES = 1 << 21`` moves the last bits of the
+dense walk pins).  BLOCK_SIZE and WINDOW_BYTES are constants, not options.
+Blocks run in up to one process per CPU, forked children sending their
+partials back; each partial is computed alone and added in block order, so
+the output bytes do not depend on the CPU count.
 
-Trajectory semantics: the conditional state evolves under the channel
-self-propagator between exponentially distributed transfer events; each
-transfer out of channel R applies the jump map attached to R (the source),
-renormalizes the trace, and hands the state to the selected destination.
-Grid times are sampled with the exact segment propagator (no intra-segment
-discretization).  A channel whose eigenvectors and their inverse are exactly
-the identity is plain: its states are their own eigenbasis coordinates, so
-neither product is formed; a plain channel whose eigenvalues are all 0 is
-still, and its samples are the segment-start states.  The bits are those of
-the products: ``exp(0)`` is ``1+0j`` and a product with I returns its operand,
-up to the sign of a zero, which the zero-started totals erase.  Each factor
-stays the first operand of its complex multiply, which numpy may fuse, so
-``a * b`` and ``b * a`` can differ in the last bit.
+Channels propagate with eigenbasis products, one column per sample, except
+the plain ones, whose eigenvectors and their inverse are exactly I:
+1. Row layout: a plain channel's samples are rows, the segment-start state
+   scaled component by component, each written whole.
+2. Distinct eigenvalues: component k is scaled by ``exp(eigval_k * dt)``,
+   one ``exp`` per distinct nonzero eigenvalue; a zero one scales nothing,
+   and a plain channel with only zero eigenvalues is still.
+3. Shared first segment: before its first transfer every trajectory of a
+   moving plain channel holds ``exp(L t) rho0``, so one whose first segment
+   spans a window takes that window's one row for its channel.
+4. Stride-0 sums: where only shared rows reach a channel in a window, it
+   adds n stride-0 copies of the row and writes nothing to its buffer.
+
+The bits are those of the column products.  ``exp`` of identical inputs has
+identical bits, ``t - 0.0`` is ``t`` and a first segment's state is ``rho0``
+exactly, so the shared rows and the window tables hold a product's factors.
+A product with I returns its operand, and ``(1+0j) * y`` is ``y``, up to the
+sign of a zero.  Each sum adds its rows in index order; leaving rows out (the
+shared rows, or all but the rows of a channel that wrote fewer than half of
+them) drops ``+0.0`` terms.  These, like the signs of zeros, change no sum
+but a -0.0 one, which the zero-started totals make +0.0.  Each factor stays
+the first operand of its complex multiply, which numpy may fuse, so ``a * b``
+and ``b * a`` can differ in the last bit; every product keeps its columns,
+their order and its C layout.
 """
 
 from __future__ import annotations
@@ -67,10 +76,15 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
     nb = hi - lo
     width = max(1, WINDOW_BYTES // (16 * BLOCK_SIZE * n2))
     diag_idx = np.arange(kit.dim) * (kit.dim + 1)
-    # Plain channels propagate in the vec basis itself; still ones do not move.
     eye = np.eye(n2)
     plain = [np.array_equal(v, eye) and np.array_equal(vi, eye) for v, vi in zip(kit.eigvecs, kit.eiginvs)]
-    still = [p and not vals.any() for p, vals in zip(plain, kit.eigvals)]
+    spectra = {}  # plain channel: (component, index into the values) of each nonzero eigenvalue; the distinct values
+    for c in np.flatnonzero(plain).tolist():
+        comps = np.flatnonzero(kit.eigvals[c])
+        distinct, which = np.unique(kit.eigvals[c, comps], return_inverse=True)
+        spectra[c] = list(zip(comps.tolist(), which.tolist())), distinct
+    moving = np.array([c in spectra and bool(spectra[c][0]) for c in range(kchan)])
+    shares = moving.any()  # else no trajectory takes a shared first-segment row
 
     keys = stream_key(master_seed, np.arange(lo, hi, dtype=np.uint64))
     ctr = np.zeros(nb, dtype=np.uint64)
@@ -88,24 +102,26 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
             if mask.any():
                 yield c, mask
 
-    def propagate(c, idx, dts, cols=None):
-        """States of trajectories ``idx`` of channel ``c``, ``dts`` after t0; one column each.
+    def sample_rows(c, idx, dts):
+        """States of trajectories ``idx`` of plain channel ``c``, ``dts`` after t0; one row each."""
+        out = np.take(y, idx, axis=0)
+        comps, distinct = spectra[c]
+        if comps:
+            f = np.exp(distinct * dts[:, None])
+            for k, j in comps:
+                out[:, k] = f[:, j] * out[:, k]
+        return out
 
-        When every one of them is still at t0 = 0, ``dts`` are the grid times
-        at window columns ``cols``, whose factors the window's table holds
-        with the same bits (``t - 0.0`` is ``t``).  ``np.take`` keeps the
-        product's operand C-ordered, as ``np.outer`` makes it.
+    def propagate(c, idx, dts, cols=None):
+        """States of trajectories ``idx`` of channel ``c`` (not plain), ``dts`` after t0; one column each.
+
+        All still at t0 = 0, they take the window table's columns ``cols``, C-ordered like ``np.outer``.
         """
-        if still[c]:
-            return np.take(y, idx, axis=0).T
         if cols is not None and not t0[idx].any():
             w = np.take(table[c], cols, axis=1)
         else:
             w = np.outer(kit.eigvals[c], dts)
             np.exp(w, out=w)
-        if plain[c]:
-            w *= np.take(y, idx, axis=0).T
-            return w
         w *= np.take(z, idx, axis=1)
         return kit.eigvecs[c] @ w
 
@@ -117,6 +133,7 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
     t_jump = np.empty(nb)
     g = np.zeros(nb, dtype=np.intp)  # next grid point to sample
     g_end = np.empty(nb, dtype=np.intp)  # first grid point after the jump
+    fresh = np.ones(nb, dtype=bool)  # no transfer yet: y is rho0 in the first channel
 
     def begin_segment(idx):
         gam = kit.escape[chan[idx]]
@@ -132,10 +149,13 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
                 z[:, idx[m]] = kit.eiginvs[c] @ np.take(y, idx[m], axis=0).T
 
     def jump(idx):
+        fresh[idx] = False
         for c, m in by_channel(idx):
             sel = idx[m]
-            # a still channel's states come as a transposed view; the product's bits need C order
-            y[sel] = (kit.jump_ops[c] @ np.ascontiguousarray(propagate(c, sel, t_jump[sel] - t0[sel]))).T
+            dts = t_jump[sel] - t0[sel]
+            # the product's bits need a C-ordered operand
+            w = np.ascontiguousarray(sample_rows(c, sel, dts).T) if plain[c] else propagate(c, sel, dts)
+            y[sel] = (kit.jump_ops[c] @ w).T
         ys = np.take(y, idx, axis=0)
         tr = ys[:, diag_idx].sum(axis=1)
         bad = (np.abs(tr - 1.0) > TRACE_TOL) | ~np.isfinite(tr)
@@ -157,46 +177,76 @@ def _run_block(kit, lo: int, hi: int, master_seed: int):
     # Per channel, the window's samples; zero where a trajectory is elsewhere.
     samples = np.zeros((kchan, nb, width, n2), complex)
     flat = samples.reshape(kchan, nb * width, n2)  # sample (row, col) at row * width + col
+    row = np.dtype((np.void, 16 * n2))
+    slots = flat.view(row)[..., 0]  # each sample one element, for np.put of whole rows
     touched = np.zeros((kchan, nb), dtype=bool)  # rows each channel wrote in this window
+    sharing = np.zeros((kchan, nb), dtype=bool)  # rows that take each channel's shared row
+
+    def add_up(c, w0, w1, buf, sq):
+        """Sum channel ``c``'s samples ``buf`` and their squares ``sq`` over trajectories, in index order."""
+        ch_sum[c, w0:w1] = np.add.reduce(buf, axis=0)
+        sq = np.add.reduce(sq, axis=0)
+        sq_re[c, w0:w1], sq_im[c, w0:w1] = sq[:, 0::2], sq[:, 1::2]
+
     for w0 in range(0, tcount, width):
         w1 = min(w0 + width, tcount)
         # exp(eigval * t) per channel at the window's grid times, (K, d**2, w1 - w0)
         table = np.exp(np.multiply.outer(kit.eigvals, grid[w0:w1]))
+        if shares:
+            # channel c's first-segment sample at window column j, and nb stride-0 copies
+            first = np.multiply(table.transpose(0, 2, 1), kit.rho0_vec, order="C")
+            first[:, grid[w0:w1] == 0.0] = kit.rho0_vec
+            copies = np.broadcast_to(first, (nb, *first.shape))
+            sq_copies = np.broadcast_to(np.square(first.view(float)), (nb, kchan, w1 - w0, 2 * n2))
         # Advance every trajectory to the window's end, writing its samples.
         while True:
             act = np.flatnonzero(g < w1)
             if act.size == 0:
                 break
-            stop = np.minimum(g_end[act], w1)
-            count = stop - g[act]
+            start, stop = g[act], np.minimum(g_end[act], w1)
+            g[act] = stop
+            hop = act[(stop == g_end[act]) & (stop < tcount)]
+            if shares:
+                # a first segment across the whole window takes its channel's shared rows
+                shared = fresh[act] & moving[chan[act]] & (stop - start == w1 - w0)
+                sharing[chan[act[shared]], act[shared]] = True
+                act, start, stop = act[~shared], start[~shared], stop[~shared]
+            count = stop - start
             rows = np.repeat(act, count)
-            cols = np.arange(rows.size) + np.repeat(g[act] - (np.cumsum(count) - count), count)
+            cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
             dts = grid[cols] - t0[rows]
             cols -= w0
             pos = rows * width + cols
             wrote = act[count > 0]
             touched[chan[wrote], wrote] = True
             for c, m in by_channel(rows):
-                flat[c, pos[m]] = propagate(c, rows[m], dts[m], cols[m]).T
+                if plain[c]:
+                    np.put(slots[c], pos[m], sample_rows(c, rows[m], dts[m]).view(row))
+                else:
+                    flat[c, pos[m]] = propagate(c, rows[m], dts[m], cols[m]).T
             at_start = np.flatnonzero(dts == 0.0)
             if at_start.size:
                 flat[chan[rows[at_start]], pos[at_start]] = np.take(y, rows[at_start], axis=0)
-            g[act] = stop
-            hop = act[(stop == g_end[act]) & (stop < tcount)]
             if hop.size:
                 jump(hop)
-        # Every trajectory has passed the window: its cells are final.  A channel
-        # that wrote fewer than half the rows reduces just those, in index order.
+        # Every trajectory has passed the window: its cells are final.
         for c in range(kchan):
+            if shares and sharing[c].any():
+                held = np.flatnonzero(sharing[c])
+                if not touched[c].any():  # n copies of one row, added as the buffer would add them
+                    add_up(c, w0, w1, copies[: held.size, c], sq_copies[: held.size, c])
+                    continue
+                samples[c, held, : w1 - w0] = first[c]
+                touched[c, held] = True
+            # A channel that wrote fewer than half the rows reduces just those, in index order.
             written = np.flatnonzero(touched[c])
             if 2 * written.size >= nb:
                 written = slice(None)
             buf = samples[c, written, : w1 - w0]
-            ch_sum[c, w0:w1] = buf.sum(axis=0)
-            sq = np.square(buf.view(float)).sum(axis=0)
-            sq_re[c, w0:w1], sq_im[c, w0:w1] = sq[:, 0::2], sq[:, 1::2]
+            add_up(c, w0, w1, buf, np.square(buf.view(float)))
             samples[c, written] = 0.0
         touched.fill(False)
+        sharing.fill(False)
     return ch_sum, sq_re, sq_im
 
 

@@ -92,11 +92,14 @@ def _checked_shape(value, shape: tuple, why: str, field: str, dtype=complex) -> 
 
 
 def _checked_hamiltonian(value, dim: int, field: str) -> np.ndarray:
-    """A Hermitian ``(dim, dim)`` matrix."""
+    """A Hermitian ``(dim, dim)`` matrix with a finite norm."""
     h = _checked_shape(value, (dim, dim), f"system dimension {dim}", field)
     residual = hermiticity_residual(h)
     if not residual <= HERMITIAN_TOL:  # NaN, from a norm that overflows, is refused too
         raise ModelFieldError(field, f"Hamiltonian is not Hermitian (residual {residual:.3e})")
+    with np.errstate(over="ignore"):  # a Hermitian H's residual is 0 / inf when its norm overflows
+        if not np.isfinite(np.linalg.norm(h)):
+            raise ModelFieldError(field, "the norm of the Hamiltonian overflows")
     return h
 
 

@@ -641,10 +641,11 @@ BAD_FIELDS = {
         {"model": dict(_CORRELATIONS_K1, chi=[[[[[1e308]], [[1e308]], [[0.0]]]]])},
         "$.model.chi: the integrals of the correlations overflow",
     ),
-    # H + H^dagger overflowed to NaN eigenvalues, refused as "$.model.basis: ... projection residual nan"
+    # H + H^dagger overflowed to NaN eigenvalues, refused as "$.model.basis: ... projection residual nan",
+    # and later as "tau * |H| overflows at tau = 2"
     "correlations-hamiltonian-overflow": (
         {"model": dict(_CORRELATIONS_K1, system_hamiltonian=[[1e308, 0], [0, 0]])},
-        "$.model.system_hamiltonian: tau * |H| overflows at tau = 2",
+        "$.model.system_hamiltonian: the norm of the Hamiltonian overflows",
     ),
     # these named only $.model, and a string entry in chi was read as a number
     "rate-hamiltonians-count": ({"model": dict(_RATE_K2, hamiltonians=[[[0, 0], [0, 0]]])}, "$.model.hamiltonians:"),
@@ -983,6 +984,27 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["kernel", "traj"])
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            (dict(_WALK_K2, hamiltonian=[[-1e308, 0], [0, 0]]), "$.model.hamiltonian"),
+            (dict(_RATE_K2, hamiltonians=[[[-1e308, 0], [0, 0]], [[0, 0], [0, 0]]]), "$.model.hamiltonians[0]"),
+        ],
+        ids=["walk", "rate"],
+    )
+    def test_hermitian_hamiltonian_whose_norm_overflows_exit_1(self, tmp_path, capsys, command, model, field):
+        # its Hermiticity residual is 0 / inf, so validate passed it: for the
+        # walk, kernel wrote a finite table and traj exited 3 after numpy
+        # overflow warnings; for the rate model, kernel exited 3 on a defective
+        # zero eigenvalue cluster
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, model=model, trajectories=10, seed=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {field}: the norm of the Hamiltonian overflows\n"
         assert [str(w.message) for w in caught] == []
 
     def test_walk_field_error_names_its_path_once(self, tmp_path, capsys):

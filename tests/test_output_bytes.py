@@ -5,15 +5,17 @@ pinned by its sha256, the first five preset commands recorded at commit
 ``dd006cb``, the two config commands at ``4c18cc9``, the two fig1
 ``traj`` commands at ``95e051a`` and the walk-rare and walk3 ``traj``
 commands at ``fd178dd``, the multi-block ``evolve`` commands at
-``9ba98f6``, and the plain- and mixed-walk ``traj`` commands at ``8263c55``.  A refactor that claims to
-leave the output unchanged must keep every digest; a change that moves a
-byte on purpose updates the digest and says why.
+``9ba98f6``, the plain- and mixed-walk ``traj`` commands at ``8263c55``, and
+the slow plain-walk and qutrit-walk ``traj`` commands at ``80d2115``.  A
+refactor that claims to leave the output unchanged must keep every digest; a
+change that moves a byte on purpose updates the digest and says why.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -113,6 +115,32 @@ _WALK_PLAIN = {
 }
 # _WALK_PLAIN with sigma_x dephasing in channel 1, whose eigenbasis is not the vec basis.
 _WALK_MIXED = {**_WALK_PLAIN, "channel_dissipators": [[[0.05, 0], [0, 0]], [[0, 0], [0, 0.2]]]}
+# _WALK_PLAIN with rare transfers: on the log grid a window mixes long first
+# segments, which every trajectory of a channel shares, with rows sampled
+# after a transfer.
+_WALK_PLAIN_SLOW = {**_WALK_PLAIN, "hop_rates": [[0, 0.08], [0.03, 0]]}
+_P = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+_PT = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+
+
+def _corner_block(a, b):
+    return [[a, 0, 0, 0], [0, b, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+# Three plain qutrit channels (d**2 = 9, three grid points per window): the
+# dissipators act through the two diagonal basis elements, so repeated
+# nonzero eigenvalues sit beside zero ones in the coherences, and the jump
+# maps mix the cyclic shift P with its transpose, so they are not monomial.
+_WALK_QUTRIT = {
+    "type": "walk",
+    "basis": [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, -2]], _P, _PT],
+    "hamiltonian": [[0.3, 0, 0], [0, 0, 0], [0, 0, 0.3]],
+    "channel_dissipators": [_corner_block(0.1, 0), _corner_block(0, 0.05), _corner_block(0.3, 0.02)],
+    "jump_kraus": [[[[math.sqrt(p) * x for x in row] for row in shift] for p, shift in ((0.6, _P), (0.4, _PT))]] * 3,
+    "hop_rates": [[0, 0.4, 0.1], [0.2, 0, 0.3], [0.05, 0.6, 0]],
+    "weights": [0.2, 0.3, 0.5],
+}
+_STATE_QUTRIT = [[0.5, 0, [0.1, 0.1]], [0, 0.3, 0], [[0.1, -0.1], 0, 0.2]]
 
 CONFIG_PINNED = {
     "traj walk --n 500 --seed 3": (
@@ -134,6 +162,18 @@ CONFIG_PINNED = {
     "traj walk-mixed --n 1500 --seed 7": (
         {"model": _WALK_MIXED, "initial_state": _STATE, "grid": {"stop": 10, "count": 51}},
         "86f0486e508688d02e00b20c68f550e82cd7f252ee75e15640a17b8b0371eaae",
+    ),
+    "traj walk-plain-slow --n 2500 --seed 13": (
+        {
+            "model": _WALK_PLAIN_SLOW,
+            "initial_state": _STATE,
+            "grid": {"stop": 40, "count": 81, "spacing": "log", "decades": 3},
+        },
+        "deee1a0288b692ebe7283e9196f392ef416aec4cd9be2946f5d10b12f12eb929",
+    ),
+    "traj walk-qutrit --n 1100 --seed 17": (
+        {"model": _WALK_QUTRIT, "initial_state": _STATE_QUTRIT, "grid": {"stop": 12, "count": 97}},
+        "af83582cb7e92c868f01686b1ad8f4f28fd2774afed5b6a64c557e14e42d2f40",
     ),
     "evolve rate": (
         {"model": _RATE, "initial_state": _STATE, "grid": {"stop": 2.0, "count": 81, "spacing": "log"}},

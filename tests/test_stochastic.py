@@ -35,7 +35,7 @@ from conftest import (
     select_next_channel,
     step_trajectory,
 )
-from test_output_bytes import _STATE, _WALK_MIXED, _WALK_PLAIN
+from test_output_bytes import _STATE, _WALK_RARE, CONFIG_PINNED
 
 RHO_PLUS_X = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -319,28 +319,35 @@ def assert_same_sums(acc, other):
     assert np.array_equal(acc.channel_sq_im, other.channel_sq_im)
 
 
+def count_calls(monkeypatch, name):
+    """A list that collects the size of the first argument of each later call of ``np.<name>``."""
+    sizes = []
+    func = getattr(np, name)
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return func(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, counting)
+    return sizes
+
+
 def assert_only_window_tables_exponentiated(monkeypatch, kit):
     """A block exponentiates at most K * d**2 * width factors per window, once."""
     k, n2 = kit.eigvals.shape
     width = max(1, _kernels.WINDOW_BYTES // (16 * _kernels.BLOCK_SIZE * n2))
     windows = -(-kit.grid.size // width)
-    sizes = []
-    exp = np.exp
-
-    def counting_exp(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return exp(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "exp", counting_exp)
+    sizes = count_calls(monkeypatch, "exp")
     _kernels._run_block(kit, 0, 300, 4)
     assert 0 < len(sizes) <= windows
     assert max(sizes) <= k * n2 * width
     assert sum(sizes) <= windows * k * n2 * width
 
 
-def config_walk(section):
-    """A pinned walk of ``test_output_bytes`` with its state, on its grid."""
-    run = parse_config(json.dumps({"model": section, "initial_state": _STATE, "grid": {"stop": 10, "count": 51}}))
+def config_walk(name):
+    """The walk of the pinned ``traj <name>`` command of ``test_output_bytes``, with its state, on its grid."""
+    [config] = [config for command, (config, _) in CONFIG_PINNED.items() if command.split()[:2] == ["traj", name]]
+    run = parse_config(json.dumps(config))
     return run.model.build()[1], run.initial_state, run.grid
 
 
@@ -364,10 +371,14 @@ def diagonal_walk(d, k, hop_scale, seed):
 
 
 PLAIN_CASES = {
-    "walk-plain": lambda: config_walk(_WALK_PLAIN),
-    "walk-mixed": lambda: config_walk(_WALK_MIXED),
-    "fig2": lambda: (dephasing_model(PRESETS["fig2"])[1], RHO_PLUS_X, np.linspace(0.0, 10.0, 41)),
-    "fig1-lower": lambda: (dephasing_model(PRESETS["fig1-lower"])[1], RHO_PLUS_X, np.linspace(0.0, 10.0, 41)),
+    **{
+        name: functools.partial(config_walk, name)
+        for name in ("walk-plain", "walk-mixed", "walk-plain-slow", "walk-qutrit")
+    },
+    **{
+        name: lambda name=name: (dephasing_model(PRESETS[name])[1], RHO_PLUS_X, np.linspace(0.0, 10.0, 41))
+        for name in ("fig2", "fig1-lower", "fig1-upper")
+    },
     **{
         f"diagonal-d{d}-k{k}-hops{scale}": functools.partial(diagonal_walk, d, k, scale, 10 * d + k)
         for d, k, scale in [(2, 1, 0.0), (2, 2, 0.3), (2, 3, 2.0), (3, 2, 0.0), (3, 2, 2.0), (3, 3, 0.3)]
@@ -480,24 +491,41 @@ class TestRunEnsemble:
             assert np.array_equal(got, want)
 
     def test_window_reduction_reads_only_the_rows_a_channel_wrote(self, monkeypatch):
-        # fig1-upper never transfers and starts 0.1 of its trajectories in
-        # channel 0, whose windows reduce just the rows it wrote: about 0.55
+        # the rare walk never transfers and starts 0.05 of its trajectories in
+        # channel 0, whose windows reduce just the rows it wrote: about 0.52
         # of the buffer elements are squared, where the whole buffers hold 1.0
-        _, walk = dephasing_model(PRESETS["fig1-upper"])
-        grid = np.linspace(0.0, 20.0, 201)
-        kit = _build_kit(walk, RHO_PLUS_X, grid)
+        config = {"model": _WALK_RARE, "initial_state": _STATE, "grid": {"stop": 20, "count": 201}}
+        run = parse_config(json.dumps(config))
+        kit = _build_kit(run.model.build()[1], run.initial_state, run.grid)
         k, n2 = kit.eigvals.shape
         nb = 300
-        sizes = []
-        square = np.square
-
-        def counting_square(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return square(x, *args, **kwargs)
-
-        monkeypatch.setattr(np, "square", counting_square)
+        sizes = count_calls(monkeypatch, "square")
         _kernels._run_block(kit, 0, nb, 4)
-        assert 0 < sum(sizes) <= 0.6 * k * nb * grid.size * 2 * n2
+        assert 0 < sum(sizes) <= 0.6 * k * nb * kit.grid.size * 2 * n2
+
+    def test_shared_first_segments_square_one_row_per_window(self, monkeypatch):
+        # fig1-upper never transfers, so every trajectory stays in its first
+        # segment and takes its channel's one shared row per window: a window
+        # squares that row once per channel, never a trajectory's buffer row
+        _, walk = dephasing_model(PRESETS["fig1-upper"])
+        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 20.0, 201))
+        k, n2 = kit.eigvals.shape
+        width = max(1, _kernels.WINDOW_BYTES // (16 * _kernels.BLOCK_SIZE * n2))
+        windows = -(-kit.grid.size // width)
+        sizes = count_calls(monkeypatch, "square")
+        _kernels._run_block(kit, 0, 300, 4)
+        assert 0 < sum(sizes) <= windows * k * width * 2 * n2
+
+    def test_plain_samples_exponentiate_each_distinct_eigenvalue_once(self, monkeypatch):
+        # fig1-lower's eigenvalues are 0, -g, -g, 0: a sample after a transfer
+        # takes one exp, not d**2, on top of the window tables
+        _, walk = dephasing_model(PRESETS["fig1-lower"])
+        kit = _build_kit(walk, RHO_PLUS_X, np.linspace(0.0, 20.0, 201))
+        k, n2 = kit.eigvals.shape
+        nb = 300
+        sizes = count_calls(monkeypatch, "exp")
+        _kernels._run_block(kit, 0, nb, 4)
+        assert 0 < sum(sizes) <= nb * kit.grid.size + k * n2 * kit.grid.size
 
     def test_trace_drift_raises_naming_trajectory(self):
         _, walk = dephasing_model(PRESETS["fig2"])
